@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <queue>
+#include <span>
 
 #include "common/macros.h"
 #include "obs/telemetry.h"
@@ -15,44 +17,8 @@ namespace sa::graph {
 namespace {
 
 // Sorted unique neighbors of `v` (forward + reverse lists merged), keeping
-// only ids greater than `floor`, read through the runtime codecs — one per
-// array, since registry-held arrays adapt their widths independently.
-// Returns the number of packed edge-list elements decoded (for the
-// access-mix tally).
-uint64_t NeighborsAbove(const CsrView& g, int socket, uint64_t v, uint64_t floor,
-                        std::vector<uint64_t>* out) {
-  out->clear();
-  const auto& begin_codec = smart::CodecFor(g.begin_bits());
-  const auto& edge_codec = smart::CodecFor(g.edge_bits());
-  const auto& rbegin_codec = smart::CodecFor(g.rbegin_bits());
-  const auto& redge_codec = smart::CodecFor(g.redge_bits());
-  const uint64_t* begin_rep = g.begin->GetReplica(socket);
-  const uint64_t* edge_rep = g.edge->GetReplica(socket);
-  const uint64_t* rbegin_rep = g.rbegin->GetReplica(socket);
-  const uint64_t* redge_rep = g.redge->GetReplica(socket);
-
-  uint64_t fwd = begin_codec.get(begin_rep, v);
-  const uint64_t fwd_end = begin_codec.get(begin_rep, v + 1);
-  uint64_t rev = rbegin_codec.get(rbegin_rep, v);
-  const uint64_t rev_end = rbegin_codec.get(rbegin_rep, v + 1);
-  const uint64_t decoded = (fwd_end - fwd) + (rev_end - rev);
-  // Both lists ascend; merge, dedupe, filter.
-  while (fwd < fwd_end || rev < rev_end) {
-    uint64_t next;
-    if (fwd < fwd_end &&
-        (rev >= rev_end || edge_codec.get(edge_rep, fwd) <= redge_codec.get(redge_rep, rev))) {
-      next = edge_codec.get(edge_rep, fwd++);
-    } else {
-      next = redge_codec.get(redge_rep, rev++);
-    }
-    if (next > floor && next != v && (out->empty() || out->back() != next)) {
-      out->push_back(next);
-    }
-  }
-  return decoded;
-}
-
-// Plain-CSR flavour of the same helper, for the serial reference.
+// only ids greater than `floor` — the serial reference's id-ordered
+// orientation.
 void NeighborsAboveRef(const CsrGraph& graph, uint64_t v, uint64_t floor,
                        std::vector<uint64_t>* out) {
   out->clear();
@@ -73,7 +39,11 @@ void NeighborsAboveRef(const CsrGraph& graph, uint64_t v, uint64_t floor,
   }
 }
 
-uint64_t SortedIntersectionSize(const std::vector<uint64_t>& a, const std::vector<uint64_t>& b) {
+// Size of the intersection of two strictly ascending id lists (a two-pointer
+// merge). Shared by the serial reference (uint64_t vectors) and the smart
+// kernel (uint32_t spans of the oriented adjacency).
+template <typename List>
+uint64_t SortedIntersectionSize(const List& a, const List& b) {
   uint64_t count = 0;
   size_t i = 0;
   size_t j = 0;
@@ -367,57 +337,167 @@ uint64_t CountTriangles(const CsrGraph& graph) {
 
 namespace {
 
+// Vertices per batch in every phase. Both the adjacency build (a batch
+// decodes its vertices' whole edge ranges) and the intersections cost more
+// for high-degree vertices, so batches are much finer than a vertex sweep's
+// to keep power-law load spread across workers.
+constexpr uint64_t kTriangleGrain = 1024;
+
 struct TriPartial {
   uint64_t triangles = 0;
-  uint64_t decoded = 0;        // packed edge-list elements decoded
-  uint64_t offset_reads = 0;   // begin/rbegin offset pairs read (each array)
   uint64_t intersections = 0;  // ordered-intersection merges performed
 
   TriPartial& operator+=(const TriPartial& o) {
     triangles += o.triangles;
-    decoded += o.decoded;
-    offset_reads += o.offset_reads;
     intersections += o.intersections;
     return *this;
   }
 };
 
+// Rank key of a vertex: degree in the high half (saturated), id in the low
+// half, so keys are distinct and comparing two keys is the degree order with
+// ties broken by id — a strict total order.
+inline uint64_t RankKey(uint64_t v, uint64_t degree) {
+  return std::min<uint64_t>(degree, 0xffffffff) << 32 | v;
+}
+
+// Merges v's ascending forward list [fwd, fwd_end) and reverse list
+// [rev, rev_end) and appends each distinct neighbor that ranks above v
+// (never v itself) to `out`, in ascending id order. Returns the new end.
+uint32_t* AppendNeighborsAbove(const uint64_t* fwd, const uint64_t* fwd_end, const uint64_t* rev,
+                               const uint64_t* rev_end, uint64_t v, const uint64_t* rank,
+                               uint32_t* out) {
+  uint64_t prev = kUnreachable;  // not a vertex id: ids are 32-bit
+  while (fwd != fwd_end || rev != rev_end) {
+    const uint64_t u = fwd != fwd_end && (rev == rev_end || *fwd <= *rev) ? *fwd++ : *rev++;
+    if (u != prev) {
+      prev = u;
+      if (rank[u] > rank[v]) {
+        *out++ = static_cast<uint32_t>(u);
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph, AccessMix* mix) {
-  if (graph.num_vertices == 0) {
+  const uint64_t n = graph.num_vertices;
+  if (n == 0) {
     return 0;
   }
+  const int workers = pool.num_workers();
+  rts::WorkerLocal<std::vector<uint64_t>> fwd_buf(workers);
+  rts::WorkerLocal<std::vector<uint64_t>> rev_buf(workers);
+
+  // Phase 1: stream both offset arrays once, keeping the decoded offsets and
+  // each vertex's rank key (raw out+in degree, ties by id).
+  std::vector<uint64_t> fwd_first(n + 1);
+  std::vector<uint64_t> rev_first(n + 1);
+  std::vector<uint64_t> rank(n);
+  rts::ParallelFor(pool, 0, n, kTriangleGrain, [&](int worker, uint64_t b, uint64_t e) {
+    const int socket = pool.worker_socket(worker);
+    // Offsets [b, e] land in worker buffers first: element e also belongs
+    // to the next batch, so writing it straight to fwd_first would race.
+    std::vector<uint64_t>& fwd = fwd_buf[worker];
+    std::vector<uint64_t>& rev = rev_buf[worker];
+    fwd.resize(e - b + 1);
+    rev.resize(e - b + 1);
+    smart::UnpackRange(*graph.begin, graph.begin->GetReplica(socket), b, e + 1, fwd.data());
+    smart::UnpackRange(*graph.rbegin, graph.rbegin->GetReplica(socket), b, e + 1, rev.data());
+    const uint64_t copied = e == n ? e - b + 1 : e - b;
+    std::copy_n(fwd.data(), copied, fwd_first.data() + b);
+    std::copy_n(rev.data(), copied, rev_first.data() + b);
+    for (uint64_t v = b; v < e; ++v) {
+      const uint64_t i = v - b;
+      rank[v] = RankKey(v, (fwd[i + 1] - fwd[i]) + (rev[i + 1] - rev[i]));
+    }
+  });
+
+  // Phase 2: the oriented adjacency N+(v) — v's distinct neighbors of higher
+  // rank, ascending by id, as 32-bit ids. A batch's vertices own one
+  // contiguous range of `edge` and of `redge`, so each batch decodes those
+  // ranges with one UnpackRange per array. One merge per vertex writes the
+  // kept ids into the worker's staging buffer (the batch's decoded length
+  // bounds it) and prefix-sums their counts; the batch's lists are then
+  // copied into one exactly-sized block.
+  const uint64_t num_batches = (n + kTriangleGrain - 1) / kTriangleGrain;
+  std::vector<std::unique_ptr<uint32_t[]>> blocks(num_batches);
+  std::vector<std::span<const uint32_t>> above(n);
+  rts::WorkerLocal<std::vector<uint32_t>> staging(workers);
+  rts::WorkerLocal<std::vector<uint64_t>> first_buf(workers);
+  rts::ParallelFor(pool, 0, n, kTriangleGrain, [&](int worker, uint64_t b, uint64_t e) {
+    const int socket = pool.worker_socket(worker);
+    std::vector<uint64_t>& fwd = fwd_buf[worker];
+    std::vector<uint64_t>& rev = rev_buf[worker];
+    fwd.resize(fwd_first[e] - fwd_first[b]);
+    rev.resize(rev_first[e] - rev_first[b]);
+    smart::UnpackRange(*graph.edge, graph.edge->GetReplica(socket), fwd_first[b], fwd_first[e],
+                       fwd.data());
+    smart::UnpackRange(*graph.redge, graph.redge->GetReplica(socket), rev_first[b],
+                       rev_first[e], rev.data());
+    std::vector<uint32_t>& kept = staging[worker];
+    kept.resize(fwd.size() + rev.size());
+    // first[i] is vertex b+i's start within the batch's lists.
+    std::vector<uint64_t>& first = first_buf[worker];
+    first.resize(e - b + 1);
+    first[0] = 0;
+    uint32_t* out = kept.data();
+    for (uint64_t v = b; v < e; ++v) {
+      out = AppendNeighborsAbove(fwd.data() + (fwd_first[v] - fwd_first[b]),
+                                 fwd.data() + (fwd_first[v + 1] - fwd_first[b]),
+                                 rev.data() + (rev_first[v] - rev_first[b]),
+                                 rev.data() + (rev_first[v + 1] - rev_first[b]), v, rank.data(),
+                                 out);
+      first[v - b + 1] = static_cast<uint64_t>(out - kept.data());
+    }
+    std::unique_ptr<uint32_t[]> block = std::make_unique_for_overwrite<uint32_t[]>(first[e - b]);
+    std::copy_n(kept.data(), first[e - b], block.get());
+    for (uint64_t v = b; v < e; ++v) {
+      above[v] = {block.get() + first[v - b], block.get() + first[v - b + 1]};
+    }
+    // ParallelFor batches start at multiples of the grain, so b / grain
+    // numbers this batch.
+    blocks[b / kTriangleGrain] = std::move(block);
+  });
+
+  // Phase 3: each triangle {a, b, c} ranked a < b < c is counted exactly
+  // once, at v = a and u = b, as the c in N+(a) ∩ N+(b).
   const TriPartial total = rts::ParallelReduce<TriPartial>(
-      pool, 0, graph.num_vertices, rts::kDefaultGrain,
-      [&](int worker, uint64_t b, uint64_t e) {
-        const int socket = pool.worker_socket(worker);
-        std::vector<uint64_t> nv;
-        std::vector<uint64_t> nu;
+      pool, 0, n, kTriangleGrain, [&](int, uint64_t b, uint64_t e) {
         TriPartial local;
         for (uint64_t v = b; v < e; ++v) {
-          local.decoded += NeighborsAbove(graph, socket, v, v, &nv);
-          local.offset_reads += 2;
-          for (const uint64_t u : nv) {
-            local.decoded += NeighborsAbove(graph, socket, u, u, &nu);
-            local.offset_reads += 2;
-            local.triangles += SortedIntersectionSize(nv, nu);
-            ++local.intersections;
+          // The neighbors' list headers and lists are random reads: request
+          // them two and one vertices ahead of the merges that need them.
+          if (v + 2 < e) {
+            for (const uint32_t u : above[v + 2]) {
+              __builtin_prefetch(&above[u]);
+            }
           }
+          if (v + 1 < e) {
+            for (const uint32_t u : above[v + 1]) {
+              __builtin_prefetch(above[u].data());
+            }
+          }
+          const std::span<const uint32_t> nv = above[v];
+          for (const uint32_t u : nv) {
+            local.triangles += SortedIntersectionSize(nv, above[u]);
+          }
+          local.intersections += nv.size();
         }
         return local;
       });
 
   SA_OBS_COUNT_N(kGraphTriIntersections, total.intersections);
-  SA_OBS_COUNT_N(kGraphRandomGathers, total.decoded);
+  SA_OBS_COUNT_N(kGraphEdgesStreamed, 2 * graph.num_edges);
   if (mix != nullptr) {
-    // Neighbor lists are re-fetched at data-dependent vertices, so the whole
-    // access pattern — offsets and list elements alike — is gather-shaped
-    // (split evenly across the forward and reverse pairs).
-    mix->begin_rand += total.offset_reads;
-    mix->rbegin_rand += total.offset_reads;
-    mix->edge_rand += total.decoded / 2;
-    mix->redge_rand += total.decoded / 2;
+    // Every topology array streams past exactly once; no element is
+    // gathered at a data-dependent index.
+    mix->begin_seq += n + 1;
+    mix->rbegin_seq += n + 1;
+    mix->edge_seq += graph.num_edges;
+    mix->redge_seq += graph.num_edges;
   }
   return total.triangles;
 }

@@ -65,9 +65,16 @@ std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool,
 // reference over plain CSR.
 uint64_t CountTriangles(const CsrGraph& graph);
 
-// Parallel smart-array version: ordered-neighbor intersection — per vertex,
-// the forward+reverse neighbor lists merge into an ascending filtered list,
-// and triangles are counted by sorted-intersection of neighbor pairs.
+// Parallel smart-array version over degree-ordered adjacency. The offset
+// arrays stream once to rank every vertex by raw degree (out+in, ties by
+// id); each vertex batch then decodes its edge/redge ranges once through
+// UnpackRange into a compact, deduplicated, id-sorted list of its
+// higher-ranked neighbors (32-bit ids); triangles are counted by sorted
+// intersection of those lists over neighbor pairs. A list holds only
+// higher-degree neighbors, so a power-law hub's list stays short. Transient
+// memory is O(V) plus one 32-bit id per kept edge plus one batch's decoded
+// edges per worker, all freed on return; no full decoded copy of edge/redge
+// is made.
 uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph,
                              AccessMix* mix = nullptr);
 uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "rts/worker_pool.h"
 #include "runtime/daemon.h"
 #include "runtime/registry.h"
+#include "smart/restructure.h"
 #include "sim/machine_spec.h"
 
 namespace sa::graph {
@@ -223,6 +225,33 @@ TEST_F(ConcurrentGraphTest, DaemonRestructurePreservesAnswersAcrossPins) {
   ExpectMatchesReference(g, csr, /*source=*/2, ref, "post-adaptation");
 }
 
+// The forward and reverse target arrays at different widths: only the
+// `edge` slot is restructured (narrowed to its data width and published
+// directly), while `redge` keeps the upload's 32 bits. The triangle kernel
+// decodes each array at its own width, so the count must not move.
+TEST_F(ConcurrentGraphTest, TrianglesMatchWithEdgeAndRedgeAtDifferentWidths) {
+  const CsrGraph csr = PowerLawGraph(/*num_vertices=*/513, /*num_edges=*/3000, /*alpha=*/0.7,
+                                     /*seed=*/17);
+  const uint64_t want = CountTriangles(csr);
+  ASSERT_GT(want, 0u);
+  RegistryCsrGraph g(registry_, "split", csr, SmartGraphOptions{});  // U tier: 32-bit ids
+
+  runtime::ArraySlot* edge_slot = g.slots()[1];
+  runtime::ArraySnapshot current = edge_slot->Acquire();
+  std::unique_ptr<smart::SmartArray> narrowed =
+      smart::Restructure(pool_, current.array(), current.array().placement(),
+                         smart::MinimalBits(pool_, current.array()), topo_);
+  current.Release();
+  ASSERT_TRUE(registry_.Publish(*edge_slot, std::move(narrowed), edge_slot->write_count()));
+
+  GraphSnapshot snapshot = g.Pin();
+  const CsrView view = snapshot.view();
+  EXPECT_LT(view.edge_bits(), 32u);
+  EXPECT_EQ(view.redge_bits(), 32u);
+  EXPECT_EQ(CountTriangles(pool_, snapshot), want);
+  snapshot.Release();
+}
+
 // Snapshot pinning is what makes mid-traversal publishes invisible: results
 // computed over a snapshot pinned BEFORE the restructure still match the
 // references (the pinned versions stay alive and immutable), while a fresh
@@ -268,7 +297,7 @@ TEST_F(ConcurrentGraphTest, PinnedSnapshotSurvivesConcurrentPublish) {
 // workload counters — the channel the daemon adapts through. Different
 // algorithms leave recognizably different mixes: degree centrality streams
 // the offset arrays and never touches edges; PageRank gathers the degree
-// property at random.
+// property at random; triangle counting streams the edge lists.
 TEST_F(ConcurrentGraphTest, AccessMixReachesSlotCounters) {
   const CsrGraph csr = UniformRandomGraph(/*num_vertices=*/200, /*out_degree=*/3, /*seed=*/4);
   RegistryCsrGraph g(registry_, "mix", csr, SmartGraphOptions{});
@@ -293,6 +322,20 @@ TEST_F(ConcurrentGraphTest, AccessMixReachesSlotCounters) {
   runtime::SlotSample redge_sample = g.slots()[3]->DrainSample();
   EXPECT_GT(degree_sample.random_reads, 0u);
   EXPECT_GT(redge_sample.sequential_reads, 0u);
+  for (runtime::ArraySlot* slot : g.slots()) {
+    slot->DrainSample();
+  }
+
+  // Triangle counting streams both target arrays once and gathers nothing.
+  snapshot = g.Pin();
+  CountTriangles(pool_, snapshot);
+  snapshot.Release();
+  edge_sample = g.slots()[1]->DrainSample();
+  redge_sample = g.slots()[3]->DrainSample();
+  EXPECT_GE(edge_sample.sequential_reads, csr.num_edges());
+  EXPECT_EQ(edge_sample.random_reads, 0u);
+  EXPECT_GE(redge_sample.sequential_reads, csr.num_edges());
+  EXPECT_EQ(redge_sample.random_reads, 0u);
 }
 
 // RegistryCsrGraph seals its five slots after upload, so the daemon's §6.1

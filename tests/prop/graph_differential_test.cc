@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -14,6 +15,7 @@
 #include "graph/generators.h"
 #include "graph/smart_graph.h"
 #include "platform/topology.h"
+#include "rts/parallel_for.h"
 #include "rts/worker_pool.h"
 #include "smart/smart_array.h"
 
@@ -158,10 +160,56 @@ TEST_F(GraphDifferentialTest, TriangleCountsMatchScalarReferenceEverywhere) {
   }
 }
 
+// A power-law graph spanning four kDefaultGrain vertex batches plus a ragged
+// tail of 777 vertices (also ragged for any finer power-of-two grain), so
+// batch-local state in the smart kernels (per-batch decode offsets,
+// per-batch list blocks) is exercised across boundaries. Vertex 0 is the
+// generator's most popular target and is made an explicit hub on top, some
+// edges repeat in both directions, and every 97th vertex has a self-loop.
+CsrGraph MultiBatchPowerLawGraph() {
+  constexpr VertexId kVertices = 4 * sa::rts::kDefaultGrain + 777;
+  const CsrGraph base = PowerLawGraph(kVertices, /*num_edges=*/150000, /*alpha=*/0.7,
+                                      /*seed=*/19);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < kVertices; ++v) {
+    for (uint64_t e = base.begin()[v]; e < base.begin()[v + 1]; ++e) {
+      const VertexId u = base.edge()[e];
+      edges.emplace_back(v, u);
+      if (e % 5 == 0) {
+        edges.emplace_back(v, u);
+        edges.emplace_back(u, v);
+      }
+    }
+    if (v % 11 == 0) {
+      edges.emplace_back(0, v);
+    }
+    if (v % 13 == 0) {
+      edges.emplace_back(v, 0);
+    }
+    if (v % 97 == 0) {
+      edges.emplace_back(v, v);
+    }
+  }
+  return CsrGraph::FromEdges(kVertices, std::move(edges));
+}
+
+TEST_F(GraphDifferentialTest, TriangleCountsMatchAcrossVertexBatches) {
+  const CsrGraph csr = MultiBatchPowerLawGraph();
+  const uint64_t want = CountTriangles(csr);
+  ASSERT_GT(want, 0u);
+  for (const auto& rep : Representations()) {
+    SmartCsrGraph g(csr, rep.options, topo_, pool_);
+    ASSERT_EQ(CountTrianglesSmart(pool_, g), want)
+        << rep.name << " " << ToString(rep.options.placement);
+  }
+}
+
 // Degenerate topologies the generators never produce, swept through the
 // same representation grid: no edges at all, self-loops (a triangle-count
-// trap), zero-degree vertices inside the id range, and multiple components
-// (BFS must report kUnreachable, CC distinct labels).
+// trap), zero-degree vertices inside the id range, multiple components
+// (BFS must report kUnreachable, CC distinct labels), vertices tied on
+// degree (the triangle kernel's rank order), parallel reciprocal edges, and
+// a single vertex.
 TEST_F(GraphDifferentialTest, EdgeCaseGraphsMatchScalarReferencesEverywhere) {
   struct EdgeCase {
     const char* name;
@@ -174,6 +222,20 @@ TEST_F(GraphDifferentialTest, EdgeCaseGraphsMatchScalarReferencesEverywhere) {
        CsrGraph::FromEdges(5, {{0, 0}, {1, 1}, {2, 0}, {0, 2}, {3, 4}, {4, 3}})},
       {"disconnected", 0,
        CsrGraph::FromEdges(10, {{0, 1}, {1, 2}, {2, 0}, {6, 7}, {7, 8}, {8, 6}, {6, 8}})},
+      // Rank ties: a star whose leaves 1..5 form a clique, so the clique
+      // leaves share one degree (and the center) while leaves 6..8 share
+      // another; the triangle order must fall back to ids consistently.
+      {"star-leaf-clique", 0,
+       CsrGraph::FromEdges(9, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 8},
+                               {1, 2}, {1, 3}, {1, 4}, {1, 5}, {2, 3}, {2, 4}, {2, 5}, {3, 4},
+                               {3, 5}, {4, 5}})},
+      // Every edge present as u->v and v->u, each twice: four parallel
+      // copies per pair inflate the raw degrees but count once.
+      {"reciprocal-duplicates", 1,
+       CsrGraph::FromEdges(5, {{0, 1}, {1, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1}, {1, 2}, {2, 1},
+                               {2, 0}, {0, 2}, {2, 0}, {0, 2}, {2, 3}, {3, 2}, {2, 3}, {3, 2},
+                               {3, 4}, {4, 3}, {3, 4}, {4, 3}, {4, 2}, {2, 4}, {4, 2}, {2, 4}})},
+      {"single-vertex", 0, CsrGraph::FromEdges(1, {{0, 0}, {0, 0}})},
   };
   for (const auto& edge_case : cases) {
     const std::vector<uint64_t> want_bfs = BfsLevels(edge_case.csr, edge_case.source);
