@@ -4,8 +4,8 @@
 // (scalar-iterator vs block kernel vs AVX2).
 //
 // The binary has a custom main: before running google-benchmark it times
-// the sum kernels (scalar iterator, block, the retired AVX2 gather, the v2
-// shift network, and the measured selection) plus both streaming-seam
+// the sum kernels (scalar iterator, block, the AVX2 v2 shift network, and
+// the kernel table's selection) plus both streaming-seam
 // directions (unpack-range / pack-range) at every width 1..64, and writes
 // BENCH_codec.json (a JSON array, one object per {width, placement, kernel}
 // config with bytes/s of compressed data processed). SA_BENCH_FAST=1
@@ -171,20 +171,6 @@ uint64_t PackRangeRun(std::vector<uint64_t>& words, uint32_t bits, const uint64_
 uint64_t V2Sum(const std::vector<uint64_t>& words, uint32_t bits) {
   return sa::smart::WithBits(bits, [&](auto bits_const) -> uint64_t {
     return sa::smart::BitCompressedArray<bits_const()>::SumRangeV2(words.data(), 0, kSumElems);
-  });
-}
-
-// The retired PR-1 gather decoder, kept addressable purely so the JSON can
-// show v2 vs gather on the same machine.
-uint64_t GatherSum(const std::vector<uint64_t>& words, uint32_t bits) {
-  return sa::smart::WithBits(bits, [&](auto bits_const) -> uint64_t {
-    constexpr uint32_t kBits = bits_const();
-    uint64_t sum = 0;
-    for (uint64_t chunk = 0; chunk < kSumElems / sa::kChunkElems; ++chunk) {
-      sum += sa::smart::avx2::SumChunkGather<kBits>(words.data() +
-                                                    chunk * sa::WordsPerChunk(kBits));
-    }
-    return sum;
   });
 }
 #endif
@@ -446,15 +432,13 @@ void WriteBenchJson(const char* path) {
     for (uint64_t i = 0; i < kSumElems; ++i) {
       buffer[i] = sa::SplitMix64(i) & sa::LowMask(bits);
     }
-    // Every series for this width: the scalar baselines, both AVX2
-    // generations (where they exist), and the streaming seam in both
-    // directions.
+    // Every series for this width: the scalar baselines, the AVX2 v2
+    // kernel (where it exists), and the streaming seam in both directions.
     std::vector<std::pair<const char*, std::function<uint64_t()>>> series;
     series.emplace_back("scalar-iterator", [&] { return IteratorSum(words, bits); });
     series.emplace_back("block", [&] { return BlockSum(words, bits); });
 #if defined(SA_HAVE_AVX2_KERNELS)
     if (V2Runnable(bits)) {
-      series.emplace_back("avx2-gather", [&] { return GatherSum(words, bits); });
       series.emplace_back("avx2-v2", [&] { return V2Sum(words, bits); });
     }
 #endif
@@ -471,7 +455,7 @@ void WriteBenchJson(const char* path) {
         v2_bps = bps[i];
       }
     }
-    // "selected" is whatever the measured table bound for this width — the
+    // "selected" is whatever the kernel table bound for this width — the
     // same function pointer as one of the series above, so reuse that
     // series' number rather than manufacturing a noise gap between two
     // timings of identical code.

@@ -78,11 +78,15 @@ uint64_t saEncodedFootprintBytes(const void* ea) {
 }
 
 uint64_t saEncodedGet(const void* ea, uint64_t index) {
-  return static_cast<const EncodedArray*>(ea)->Get(index, /*socket=*/0);
+  const auto* a = static_cast<const EncodedArray*>(ea);
+  SA_CHECK_MSG(index < a->length(), "index out of range");
+  return a->Get(index, /*socket=*/0);
 }
 
 void saEncodedDecode(const void* ea, uint64_t begin, uint64_t end, uint64_t* out) {
-  static_cast<const EncodedArray*>(ea)->Decode(begin, end, /*socket=*/0, out);
+  const auto* a = static_cast<const EncodedArray*>(ea);
+  SA_CHECK_MSG(begin <= end && end <= a->length(), "decode range out of bounds");
+  a->Decode(begin, end, /*socket=*/0, out);
 }
 
 void* saSetCreate(const uint64_t* values, uint64_t length, int layout, int replicated,

@@ -146,7 +146,7 @@ class ArraySnapshot {
   // kernels (counted as a sequential scan of the range).
   uint64_t SumRange(uint64_t begin, uint64_t end);
 
-  // ---- pushdown scans (zone-map skipping + calibrated match kernels) ----
+  // ---- pushdown scans (zone-map skipping + selected match kernels) ----
   // All three account the covered range as a sequential scan and feed the
   // slot's predicate-selectivity counters, which the daemon reads as a §6
   // hint. Like Get, not safe to call concurrently on one snapshot.

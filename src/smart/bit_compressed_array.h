@@ -501,8 +501,8 @@ class BitCompressedArray final : public SmartArray {
   }
 
   // True when the v2 shift-network kernels exist for this width AND the
-  // host can run them (CPUID minus the SA_DISABLE_AVX2 override). Candidacy
-  // only: whether they are *selected* is the kernel table's measured call.
+  // host can run them (CPUID minus the SA_DISABLE_AVX2 override). This is
+  // the kernel table's selection rule (kernel_table.h).
   static bool HasV2Kernels() {
 #if defined(SA_HAVE_AVX2_KERNELS)
     if constexpr (kHasV2) {
@@ -512,20 +512,14 @@ class BitCompressedArray final : public SmartArray {
     return false;
   }
 
-  // True when the measured kernel table selected the AVX2 v2 kernels for
-  // this width on this host.
-  static bool UsesAvx2Kernels() {
-    return KernelsFor(BITS).kind == KernelKind::kAvx2V2;
-  }
-
 #if defined(SA_HAVE_AVX2_KERNELS)
   static constexpr bool kHasV2 = avx2::HasV2Width(BITS);
 
   // v2 shift-network flavours. Only correct to call when HasV2Kernels();
   // exposed (rather than private) so the differential tests, the kernel
-  // table calibration, and the codec microbenchmark can target the path
-  // explicitly. Widths without a v2 network delegate to the block kernels
-  // so the symbols stay well-formed for every instantiation.
+  // table, and the codec microbenchmark can target the path explicitly.
+  // Widths without a v2 network delegate to the block kernels so the
+  // symbols stay well-formed for every instantiation.
   static uint64_t SumRangeV2(const uint64_t* replica, uint64_t begin, uint64_t end) {
     if constexpr (kHasV2) {
       return SumRangeWith(replica, begin, end, [](const uint64_t* r, uint64_t chunk) {
@@ -582,8 +576,8 @@ class BitCompressedArray final : public SmartArray {
 
   // ---- Dispatching kernels (what callers should use) ----
   //
-  // One load of the measured per-width table + an indirect call; the table
-  // guarantees the bound kernel beat (or is) the scalar block kernel.
+  // One load of the static per-width table (kernel_table.h) + an indirect
+  // call.
   static uint64_t SumRange(const uint64_t* replica, uint64_t begin, uint64_t end) {
     return KernelsFor(BITS).sum_range(replica, begin, end);
   }

@@ -33,7 +33,7 @@ struct CodecOps {
   void (*pack_range)(uint64_t* replica, uint64_t begin, uint64_t end,
                      const uint64_t* in) = nullptr;
   // Pushdown scans over a normalized predicate (predicate.h): evaluate
-  // `v ⊖ const` on the packed words through the calibrated match-mask
+  // `v ⊖ const` on the packed words through the selected match-mask
   // kernels, never materializing decoded values. select_if_range only ORs
   // bits into `bitmap` (bit `bit_offset + i` = element begin+i matches);
   // callers zero the buffer. All three return/accumulate over [begin, end).

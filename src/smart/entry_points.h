@@ -46,7 +46,7 @@ void saArrayUnpack(const void* sa, uint64_t chunk, uint64_t* out);
 
 // ---- Bulk transfer through the chunk-streaming decode seam ----
 // Decodes elements [begin, end) into out[0 .. end-begin); whole chunks go
-// through the selected (measured) kernel, so foreign callers bulk-read at
+// through the selected kernel, so foreign callers bulk-read at
 // native speed in one boundary crossing.
 void saArrayUnpackRange(const void* sa, uint64_t begin, uint64_t end, uint64_t* out);
 
@@ -95,7 +95,7 @@ uint64_t saArraySum2Range(const void* sa1, const void* sa2, uint64_t begin, uint
 
 // ---- Pushdown scans (src/smart/predicate.h) ----
 // `op` takes the stable CmpOp ABI values: 0 ==, 1 !=, 2 <, 3 <=, 4 >, 5 >=.
-// The predicate is evaluated on the packed words through the calibrated
+// The predicate is evaluated on the packed words through the selected
 // match-mask kernels; chunks whose zone map proves them irrelevant are
 // never touched.
 

@@ -1,209 +1,53 @@
-// Measured per-width kernel selection (see kernel_table.h for the policy).
-//
-// All 64 widths calibrate against the same packed pseudo-random buffer:
-// any bit pattern is a valid packed chunk, so one fill serves every width
-// and the whole build costs a few milliseconds, once per process.
+// Static per-width kernel selection (see kernel_table.h for the rule).
 
 #include "smart/kernel_table.h"
 
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
-#include <vector>
 
-#include "common/cpu_features.h"
 #include "common/macros.h"
-#include "common/random.h"
 #include "obs/telemetry.h"
 #include "smart/bit_compressed_array.h"
 
 namespace sa::smart {
 namespace {
 
-enum class ForceMode {
-  kAuto,   // measured selection (default)
-  kBlock,  // scalar block kernels everywhere
-  kAvx2,   // v2 kernels wherever they exist (benchmarking only)
-};
-
-ForceMode ForceModeFromEnv() {
-  const char* env = std::getenv("SA_FORCE_KERNEL");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "auto") == 0) {
-    return ForceMode::kAuto;
-  }
-  if (std::strcmp(env, "block") == 0) {
-    return ForceMode::kBlock;
-  }
-  if (std::strcmp(env, "avx2") == 0) {
-    return ForceMode::kAvx2;
-  }
-  // Unknown value: fall back to the measured default rather than aborting.
-  return ForceMode::kAuto;
-}
-
-// Both flavours for one width; `v2` is only meaningful when has_v2.
-struct Candidates {
-  KernelOps block;
-  KernelOps v2;
-  bool has_v2 = false;
-};
-
+// The rule itself lives in HasV2Kernels(): the width has a v2 network and
+// the host has AVX2 (minus SA_DISABLE_AVX2).
 template <uint32_t BITS>
-Candidates MakeCandidates() {
+KernelOps SelectKernels() {
   using Codec = BitCompressedArray<BITS>;
-  Candidates c;
-  c.block = {&Codec::SumRangeImpl,       &Codec::Sum2RangeImpl,
-             &Codec::UnpackUnrolledImpl, &Codec::MatchMaskChunkImpl,
-             &Codec::FilteredSumChunkImpl, KernelKind::kBlock,
-             KernelKind::kBlock};
 #if defined(SA_HAVE_AVX2_KERNELS)
-  if constexpr (Codec::kHasV2) {
-    c.v2 = {&Codec::SumRangeV2,   &Codec::Sum2RangeV2,      &Codec::UnpackChunkV2,
-            &Codec::MatchMaskChunkV2, &Codec::FilteredSumChunkV2, KernelKind::kAvx2V2,
+  if (Codec::HasV2Kernels()) {
+    return {&Codec::SumRangeV2,       &Codec::Sum2RangeV2,
+            &Codec::UnpackChunkV2,    &Codec::MatchMaskChunkV2,
+            &Codec::FilteredSumChunkV2, KernelKind::kAvx2V2,
             KernelKind::kAvx2V2};
-    c.has_v2 = true;
   }
 #endif
-  return c;
-}
-
-// Calibration workload: 512 chunks (32768 elements). That spills the packed
-// buffer out of L1 at every width, which matters: the scalar block kernel
-// auto-vectorizes well at some even widths and the ranking between it and
-// the v2 shift network can differ between an L1-resident toy loop and the
-// streaming scans the table actually serves.
-constexpr uint64_t kCalibChunks = 512;
-constexpr uint64_t kCalibElems = kCalibChunks * kChunkElems;
-
-// Best-of-N wall time for both candidates, sampled interleaved (block, v2,
-// block, v2, ...) so a frequency or preemption swing during calibration
-// hits both kernels instead of biasing whichever ran second. The
-// accumulated sums feed a sink so the calls cannot be optimized away.
-struct CalibResult {
-  uint64_t block_ns = UINT64_MAX;
-  uint64_t v2_ns = UINT64_MAX;
-};
-
-CalibResult InterleavedBestNs(uint64_t (*block)(const uint64_t*, uint64_t, uint64_t),
-                              uint64_t (*v2)(const uint64_t*, uint64_t, uint64_t),
-                              const uint64_t* words, uint64_t* sink) {
-  using Clock = std::chrono::steady_clock;
-  const auto time_one = [&](uint64_t (*fn)(const uint64_t*, uint64_t, uint64_t)) {
-    const Clock::time_point start = Clock::now();
-    *sink ^= fn(words, 0, kCalibElems);
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count());
-  };
-  CalibResult result;
-  for (int rep = 0; rep < 5; ++rep) {
-    result.block_ns = std::min(result.block_ns, time_one(block));
-    result.v2_ns = std::min(result.v2_ns, time_one(v2));
-  }
-  return result;
-}
-
-using MatchMaskFn = uint64_t (*)(const uint64_t*, uint64_t, uint64_t, bool, bool);
-
-// Same interleaved best-of-5 discipline for the predicate kernels. The
-// calibration predicate is `v < mid`, a ~half-selective compare: match-mask
-// cost is selectivity-independent (every element is compared), so any bound
-// ranks the kernels identically, and mid keeps the compare honest against
-// branch-predictor artifacts in the scalar loop.
-CalibResult InterleavedBestMatchNs(MatchMaskFn block, MatchMaskFn v2, const uint64_t* words,
-                                   uint64_t bound, uint64_t* sink) {
-  using Clock = std::chrono::steady_clock;
-  const auto time_one = [&](MatchMaskFn fn) {
-    const Clock::time_point start = Clock::now();
-    uint64_t acc = 0;
-    for (uint64_t chunk = 0; chunk < kCalibChunks; ++chunk) {
-      acc ^= fn(words, chunk, bound, false, false);
-    }
-    *sink ^= acc;
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count());
-  };
-  CalibResult result;
-  for (int rep = 0; rep < 5; ++rep) {
-    result.block_ns = std::min(result.block_ns, time_one(block));
-    result.v2_ns = std::min(result.v2_ns, time_one(v2));
-  }
-  return result;
+  return {&Codec::SumRangeImpl,       &Codec::Sum2RangeImpl,
+          &Codec::UnpackUnrolledImpl, &Codec::MatchMaskChunkImpl,
+          &Codec::FilteredSumChunkImpl, KernelKind::kBlock,
+          KernelKind::kBlock};
 }
 
 struct Table {
   KernelOps ops[65];
 };
 
+// Records each width's selection in the obs counters as it builds.
 Table BuildTable() {
-  Candidates cand[65] = {};
-  [&]<size_t... I>(std::index_sequence<I...>) {
-    ((cand[I + 1] = MakeCandidates<I + 1>()), ...);
-  }(std::make_index_sequence<64>{});
-
   Table table;
-  table.ops[0] = cand[1].block;  // never a valid width; defensively block
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    ((table.ops[I + 1] = SelectKernels<I + 1>()), ...);
+  }(std::make_index_sequence<64>{});
+  table.ops[0] = table.ops[1];  // never a valid width; defensively block
   for (uint32_t bits = 1; bits <= 64; ++bits) {
-    table.ops[bits] = cand[bits].block;
-  }
-
-  const bool v2_runnable = HostCpuFeatures().avx2;
-  const ForceMode mode = ForceModeFromEnv();
-  if (!v2_runnable || mode == ForceMode::kBlock) {
-    return table;
-  }
-
-  // One packed buffer serves every width: sized for the widest chunk, and
-  // any bit pattern decodes to *some* valid value sequence.
-  std::vector<uint64_t> words(kCalibChunks * WordsPerChunk(64));
-  for (size_t i = 0; i < words.size(); ++i) {
-    words[i] = SplitMix64(i + 1);
-  }
-  volatile uint64_t sink = 0;
-  uint64_t local_sink = 0;
-
-  for (uint32_t bits = 1; bits <= 64; ++bits) {
-    if (!cand[bits].has_v2) {
-      continue;
-    }
-    if (mode == ForceMode::kAvx2) {
-      table.ops[bits] = cand[bits].v2;
-      continue;
-    }
-    // Warm both paths once, then interleaved best-of-5: the v2 kernel must
-    // *win* the measurement to displace the block kernel, so a tie (or
-    // noise within a tie) keeps the scalar baseline.
-    local_sink ^= cand[bits].block.sum_range(words.data(), 0, kCalibElems);
-    local_sink ^= cand[bits].v2.sum_range(words.data(), 0, kCalibElems);
-    const CalibResult timed = InterleavedBestNs(cand[bits].block.sum_range,
-                                                cand[bits].v2.sum_range, words.data(),
-                                                &local_sink);
-    if (timed.v2_ns < timed.block_ns) {
-      const KernelKind pred_kind = table.ops[bits].predicate_kind;
-      const MatchMaskFn pred_match = table.ops[bits].match_mask_chunk;
-      const MatchMaskFn pred_sum = table.ops[bits].filtered_sum_chunk;
-      table.ops[bits] = cand[bits].v2;
-      table.ops[bits].predicate_kind = pred_kind;
-      table.ops[bits].match_mask_chunk = pred_match;
-      table.ops[bits].filtered_sum_chunk = pred_sum;
-    }
-
-    // Predicate kernels race independently of the sum kernels: the compare
-    // shifts the compute/bandwidth balance, so the winner can differ.
-    const uint64_t mid = LowMask(bits) >> 1;
-    local_sink ^= cand[bits].block.match_mask_chunk(words.data(), 0, mid, false, false);
-    local_sink ^= cand[bits].v2.match_mask_chunk(words.data(), 0, mid, false, false);
-    const CalibResult pred_timed =
-        InterleavedBestMatchNs(cand[bits].block.match_mask_chunk,
-                               cand[bits].v2.match_mask_chunk, words.data(), mid, &local_sink);
-    if (pred_timed.v2_ns < pred_timed.block_ns) {
-      table.ops[bits].match_mask_chunk = cand[bits].v2.match_mask_chunk;
-      table.ops[bits].filtered_sum_chunk = cand[bits].v2.filtered_sum_chunk;
-      table.ops[bits].predicate_kind = KernelKind::kAvx2V2;
+    if (table.ops[bits].kind == KernelKind::kAvx2V2) {
+      SA_OBS_COUNT(kKernelSelectV2);
+    } else {
+      SA_OBS_COUNT(kKernelSelectBlock);
     }
   }
-  sink = local_sink;
-  (void)sink;
   return table;
 }
 
@@ -219,28 +63,8 @@ const char* ToString(KernelKind kind) {
   return "unknown";
 }
 
-namespace {
-
-// Records how calibration resolved each width, once per process.
-const Table& CalibratedTable() {
-  static const Table table = [] {
-    Table t = BuildTable();
-    for (uint32_t bits = 1; bits <= 64; ++bits) {
-      if (t.ops[bits].kind == KernelKind::kAvx2V2) {
-        SA_OBS_COUNT(kKernelSelectV2);
-      } else {
-        SA_OBS_COUNT(kKernelSelectBlock);
-      }
-    }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace
-
 const KernelOps& KernelsFor(uint32_t bits) {
-  static const Table& table = CalibratedTable();
+  static const Table table = BuildTable();
   SA_DCHECK(bits >= 1 && bits <= 64);
   return table.ops[bits];
 }

@@ -1,4 +1,5 @@
 // C-ABI surface of the §7 collections and encodings.
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,6 +85,27 @@ TEST_F(CollectionsAbiTest, PlacementFlagsValidated) {
   std::vector<uint64_t> values = {1, 2, 3};
   EXPECT_DEATH(saSetCreate(values.data(), values.size(), 0, 1, 1, -1), "combined");
   EXPECT_DEATH(saEncodedCreate(values.data(), values.size(), 9, 0, 0, -1), "encoding");
+}
+
+// Indices arrive from foreign callers, so the encoded-array reads are hard
+// checks (as saArrayGet/saArrayCountIf are), not debug asserts that vanish
+// in release builds.
+TEST_F(CollectionsAbiTest, EncodedReadsRejectOutOfRangeInput) {
+  std::vector<uint64_t> values = {1, 2, 3, 4, 5};
+  for (int encoding = 0; encoding <= 3; ++encoding) {
+    void* ea = saEncodedCreate(values.data(), values.size(), encoding, 0, 0, -1);
+    std::vector<uint64_t> out(values.size() + 1);
+    EXPECT_DEATH(saEncodedGet(ea, values.size()), "index out of range");
+    EXPECT_DEATH(saEncodedGet(ea, UINT64_MAX), "index out of range");
+    EXPECT_DEATH(saEncodedDecode(ea, 3, 2, out.data()), "out of bounds");
+    EXPECT_DEATH(saEncodedDecode(ea, 0, values.size() + 1, out.data()), "out of bounds");
+    // The edges of the valid range still work.
+    EXPECT_EQ(saEncodedGet(ea, values.size() - 1), 5u);
+    saEncodedDecode(ea, values.size(), values.size(), out.data());
+    saEncodedDecode(ea, 0, values.size(), out.data());
+    EXPECT_EQ(out[4], 5u);
+    saEncodedFree(ea);
+  }
 }
 
 }  // namespace

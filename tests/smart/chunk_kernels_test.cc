@@ -159,9 +159,8 @@ TEST_P(ChunkKernelTest, Sum2RangeMatchesPerElementSum) {
 }
 
 TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
-  // Gates on *candidacy* (the width has a v2 network and the host can run
-  // AVX2), not on the measured selection: the v2 kernels must be correct
-  // even at widths where the table kept the block kernel.
+  // Gates on the width having a v2 network the host can run AVX2 for —
+  // the same condition under which the kernel table selects it.
   const bool runnable = WithBits(
       GetParam(), [](auto bits_const) { return BitCompressedArray<bits_const()>::HasV2Kernels(); });
   if (!runnable) {

@@ -3,7 +3,7 @@
 // range), ragged lengths and unaligned sub-ranges — CountIf/SelectIf/
 // FilteredSum checked element-for-element against a plain-vector oracle.
 // The virtual scan path exercises normalization, zone-map classification,
-// run coalescing and the calibrated match kernels in one pass; the chunk
+// run coalescing and the selected match kernels in one pass; the chunk
 // tests below additionally pin the AVX2 kernels to the scalar block ones.
 #include <gtest/gtest.h>
 
