@@ -259,10 +259,10 @@ int main(int argc, char** argv) {
   // relative traffic across slots) and project only the rate onto the
   // paper's 36-core machine at 95% memory saturation — the §5.2 regime —
   // then run the daemon's deterministic decision path per slot. Slots fed
-  // by streaming algorithms (BFS/CC/degree sweeps, triangle counting's one
-  // pass over the topology) and slots fed by random gathers (PageRank's
-  // degree property, BFS's offset reads) come out at different
-  // representations, which the suite then re-verifies.
+  // by streaming algorithms (the CC, PageRank and degree sweeps, triangle
+  // counting's passes over the topology) and the slot fed by random
+  // gathers (BFS's offset reads) come out at different representations,
+  // which the suite then re-verifies.
   const adapt::MachineCaps paper_caps =
       adapt::MachineCaps::FromSpec(sim::MachineSpec::OracleX5_18Core());
   runtime::AdaptationDaemon projector(registry, daemon_pool, paper_caps,

@@ -4,8 +4,10 @@
 #include <bit>
 #include <cmath>
 
+#include "graph/adjacency_batch.h"
 #include "obs/telemetry.h"
 #include "rts/parallel_for.h"
+#include "rts/worker_local.h"
 #include "smart/dispatch.h"
 #include "smart/parallel_ops.h"
 
@@ -113,67 +115,76 @@ PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
   SA_CHECK(n > 0);
   const double base = (1.0 - options.damping) / n;
 
-  // Rank vertex properties: 64-bit smart arrays holding bit-cast doubles.
-  // The scratch/output array is always interleaved (§5.2); the readable one
-  // follows the graph's placement so replication also covers the ranks.
+  // Vertex properties: 64-bit smart arrays holding bit-cast doubles. The
+  // scratch arrays (next, contrib) are always interleaved (§5.2); the
+  // readable rank array follows the graph's placement so replication also
+  // covers the ranks. All three are written through their raw replicas:
+  // a 64-bit element is one word, and batches never share one.
   auto rank = smart::SmartArray::Allocate(n, graph.begin->placement(), 64, topology);
   auto next = smart::SmartArray::Allocate(n, smart::PlacementSpec::Interleaved(), 64, topology);
+  auto contrib = smart::SmartArray::Allocate(n, smart::PlacementSpec::Interleaved(), 64, topology);
   smart::ParallelFill(pool, *rank,
                       [n](uint64_t) { return std::bit_cast<uint64_t>(1.0 / n); });
+  uint64_t* contrib_data = contrib->MutableReplica(0);
+  rts::WorkerLocal<std::vector<uint64_t>> degree_buf(pool.num_workers());
+  AdjacencyDecoder in_edges(pool, *graph.rbegin, *graph.redge);
 
   PageRankResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Only the per-edge path is specialized on its width (it dominates the
-    // run, §5.2); the per-vertex paths go through the runtime codec, whose
-    // dispatch amortizes over a whole neighborhood list. Every array is
-    // decoded at its own width — the pull direction reads rbegin/redge,
-    // whose widths diverge from begin/edge under registry adaptation.
-    const smart::CodecOps& index_codec = smart::CodecFor(graph.rbegin_bits());
-    const smart::CodecOps& degree_codec = smart::CodecFor(graph.degree_bits());
-    const double delta = smart::WithBits(graph.redge_bits(), [&](auto edge_bits_const) -> double {
-      constexpr uint32_t kEdgeBits = edge_bits_const();
-      return rts::ParallelReduce<double>(
-          pool, 0, n, rts::kDefaultGrain, [&](int worker, uint64_t b, uint64_t e) {
-            const int socket = pool.worker_socket(worker);
-            const uint64_t* rank_rep = rank->GetReplica(socket);
-            const uint64_t* degree_rep = graph.out_degree->GetReplica(socket);
-            const uint64_t* redge_rep = graph.redge->GetReplica(socket);
-            const uint64_t* rbegin_rep = graph.rbegin->GetReplica(socket);
-            double local_delta = 0.0;
-            for (uint64_t v = b; v < e; ++v) {
-              const uint64_t first = index_codec.get(rbegin_rep, v);
-              const uint64_t last = index_codec.get(rbegin_rep, v + 1);
-              double sum = 0.0;
-              // The in-edge list [first, last) streams through the chunk-
-              // granular range kernel: whole chunks decode branch-free, the
-              // rank/degree gathers stay per-element (they are random).
-              smart::BitCompressedArray<kEdgeBits>::ForEachRangeImpl(
-                  redge_rep, first, last, [&](uint64_t u, uint64_t /*ei*/) {
-                    const double r = std::bit_cast<double>(
-                        smart::BitCompressedArray<64>::GetImpl(rank_rep, u));
-                    sum += r / static_cast<double>(degree_codec.get(degree_rep, u));
-                  });
-              const double new_rank = base + options.damping * sum;
-              const double old_rank =
-                  std::bit_cast<double>(smart::BitCompressedArray<64>::GetImpl(rank_rep, v));
-              next->Init(v, std::bit_cast<uint64_t>(new_rank));
-              local_delta += std::abs(new_rank - old_rank);
-            }
-            return local_delta;
-          });
+    // Push half: contrib[u] = rank[u] / deg(u), the very division the
+    // serial reference does per edge, done once per source vertex. A
+    // vertex without out-edges is never a source, so it skips the
+    // division.
+    rts::ParallelFor(pool, 0, n, kVertexBatch, [&](int worker, uint64_t b, uint64_t e) {
+      const uint64_t* rank_rep = rank->GetReplica(pool.worker_socket(worker));
+      std::vector<uint64_t>& degree = degree_buf[worker];
+      degree.resize(e - b);
+      smart::UnpackRange(*graph.out_degree,
+                         graph.out_degree->GetReplica(pool.worker_socket(worker)), b, e,
+                         degree.data());
+      for (uint64_t v = b; v < e; ++v) {
+        const uint64_t d = degree[v - b];
+        contrib_data[v] = d == 0 ? 0
+                                 : std::bit_cast<uint64_t>(std::bit_cast<double>(rank_rep[v]) /
+                                                           static_cast<double>(d));
+      }
     });
 
-    // Publish next -> rank (all replicas), chunk-aligned so writers never
-    // share a word. Both arrays are 64-bit, so a batch is a straight word
-    // copy per replica — the bulk path the compiler turns into wide moves.
-    rts::ParallelFor(pool, 0, n, smart::kChunkAlignedGrain,
-                     [&](int /*worker*/, uint64_t b, uint64_t e) {
-                       const uint64_t* src = next->GetReplica(0);
-                       for (int r = 0; r < rank->num_replicas(); ++r) {
-                         uint64_t* dst = rank->MutableReplica(r);
-                         std::copy(src + b, src + e, dst + b);
-                       }
-                     });
+    // Pull half: each in-edge list sums its sources' contributions in
+    // ascending redge order, as the reference does, so every rank is
+    // bitwise equal to the reference's.
+    uint64_t* next_data = next->MutableReplica(0);
+    const double delta = rts::ParallelReduce<double>(
+        pool, 0, n, kVertexBatch, [&](int worker, uint64_t b, uint64_t e) {
+          const uint64_t* rank_rep = rank->GetReplica(pool.worker_socket(worker));
+          const AdjacencyBatch batch = in_edges.Decode(worker, b, e);
+          double local_delta = 0.0;
+          for (uint64_t i = 0; i < batch.size; ++i) {
+            double sum = 0.0;
+            for (const uint64_t u : batch.neighbors(i)) {
+              sum += std::bit_cast<double>(contrib_data[u]);
+            }
+            const uint64_t v = b + i;
+            const double new_rank = base + options.damping * sum;
+            next_data[v] = std::bit_cast<uint64_t>(new_rank);
+            local_delta += std::abs(new_rank - std::bit_cast<double>(rank_rep[v]));
+          }
+          return local_delta;
+        });
+
+    // next becomes rank. Single-replica arrays swap; a replicated rank
+    // array gets next copied into every replica instead, chunk-aligned so
+    // writers never share a word.
+    if (rank->num_replicas() == 1) {
+      std::swap(rank, next);
+    } else {
+      rts::ParallelFor(pool, 0, n, smart::kChunkAlignedGrain,
+                       [&](int /*worker*/, uint64_t b, uint64_t e) {
+                         for (int r = 0; r < rank->num_replicas(); ++r) {
+                           std::copy(next_data + b, next_data + e, rank->MutableReplica(r) + b);
+                         }
+                       });
+    }
 
     result.iterations = iter + 1;
     result.final_delta = delta;
@@ -184,19 +195,20 @@ PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
 
   const uint64_t iters = static_cast<uint64_t>(result.iterations);
   SA_OBS_COUNT_N(kGraphEdgesStreamed, iters * graph.num_edges);
-  SA_OBS_COUNT_N(kGraphRandomGathers, 2 * iters * graph.num_edges);
+  SA_OBS_COUNT_N(kGraphRandomGathers, iters * graph.num_edges);
   if (mix != nullptr) {
-    // Pull-based: the reverse pair streams once per iteration, the degree
-    // property is gathered at data-dependent sources.
-    mix->rbegin_seq += 2 * iters * n;
+    // Every array streams once per iteration: the degree property with
+    // the ranks, the reverse pair in the pull. The only data-dependent
+    // gather (contrib[u]) reads private scratch, not a graph slot.
+    mix->degree_seq += iters * n;
+    mix->rbegin_seq += iters * (n + 1);
     mix->redge_seq += iters * graph.num_edges;
-    mix->degree_rand += iters * graph.num_edges;
   }
 
-  result.ranks.resize(n);
   const uint64_t* rank_rep = rank->GetReplica(0);
+  result.ranks.resize(n);
   for (uint64_t v = 0; v < n; ++v) {
-    result.ranks[v] = std::bit_cast<double>(smart::BitCompressedArray<64>::GetImpl(rank_rep, v));
+    result.ranks[v] = std::bit_cast<double>(rank_rep[v]);
   }
   return result;
 }

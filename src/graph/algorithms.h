@@ -50,9 +50,12 @@ PageRankResult PageRank(const CsrGraph& graph, const PageRankOptions& options = 
 
 // Parallel smart-array version. Rank vectors are 64-bit vertex properties
 // (doubles bit-cast into smart arrays, as PGX stores properties off-heap);
-// the output/scratch rank arrays are always interleaved. The CsrView
-// overload is the implementation (snapshot-pin safe, like the rest of the
-// suite); the SmartCsrGraph form forwards to it.
+// the output/scratch rank arrays are always interleaved. Each iteration
+// streams out_degree and rank into per-source contributions
+// rank[u] / deg(u), then pulls them over the batch-decoded in-edge lists in
+// reference order, so the ranks are bitwise equal to PageRank()'s. The
+// CsrView overload is the implementation (snapshot-pin safe, like the rest
+// of the suite); the SmartCsrGraph form forwards to it.
 PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
                              const platform::Topology& topology,
                              const PageRankOptions& options = {}, AccessMix* mix = nullptr);

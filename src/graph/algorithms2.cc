@@ -7,6 +7,7 @@
 #include <span>
 
 #include "common/macros.h"
+#include "graph/adjacency_batch.h"
 #include "obs/telemetry.h"
 #include "rts/parallel_for.h"
 #include "rts/worker_local.h"
@@ -62,8 +63,8 @@ uint64_t SortedIntersectionSize(const List& a, const List& b) {
 }
 
 // 64-bit property arrays are word-per-element, so relaxed atomic access via
-// atomic_ref keeps the cross-worker races (level claims, label relaxations)
-// well-defined without any locking.
+// atomic_ref keeps the cross-worker races (union-find hooks and path
+// halving) well-defined without any locking.
 inline uint64_t LoadRelaxed(const uint64_t* cell) {
   return std::atomic_ref<const uint64_t>(*cell).load(std::memory_order_relaxed);
 }
@@ -233,6 +234,57 @@ std::vector<uint64_t> ConnectedComponents(const CsrGraph& graph) {
   return label;
 }
 
+namespace {
+
+// Lock-free union-find over a word-per-vertex parent array, every access
+// through atomic_ref. Invariant: parent[x] <= x. Hooking only ever points
+// a root at a smaller root and path halving only ever points a vertex at
+// its grandparent, so the invariant survives every race, and the root of a
+// tree is the smallest id in it.
+
+// Root of x, halving the path on the way: each visited vertex is pointed
+// at its grandparent by a CAS (a lost race only leaves the longer path).
+uint64_t FindRoot(uint64_t* parent, uint64_t x) {
+  uint64_t p = LoadRelaxed(&parent[x]);
+  while (p != x) {
+    const uint64_t gp = LoadRelaxed(&parent[p]);
+    if (gp == p) {
+      return p;
+    }
+    uint64_t expected = p;
+    std::atomic_ref<uint64_t>(parent[x]).compare_exchange_weak(expected, gp,
+                                                               std::memory_order_relaxed);
+    x = gp;
+    p = LoadRelaxed(&parent[x]);
+  }
+  return x;
+}
+
+// Joins the trees of a and b: the larger root is hooked under the smaller
+// by a CAS on the larger root's own word, which fails, and retries from the
+// fresh roots, when another worker hooked that root first. Returns the
+// joined tree's root as of the join, an ancestor of both a and b, so a
+// caller uniting one vertex with many can start each find from there.
+uint64_t Unite(uint64_t* parent, uint64_t a, uint64_t b) {
+  while (true) {
+    a = FindRoot(parent, a);
+    b = FindRoot(parent, b);
+    if (a == b) {
+      return a;
+    }
+    if (a > b) {
+      std::swap(a, b);
+    }
+    uint64_t expected = b;
+    if (std::atomic_ref<uint64_t>(parent[b]).compare_exchange_strong(
+            expected, a, std::memory_order_relaxed)) {
+      return a;
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool, const CsrView& graph,
                                                const platform::Topology& topology,
                                                AccessMix* mix) {
@@ -241,74 +293,44 @@ std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool, const CsrV
     return {};
   }
   auto labels = smart::SmartArray::Allocate(n, smart::PlacementSpec::Interleaved(), 64, topology);
-  uint64_t* label = labels->MutableReplica(0);
+  uint64_t* parent = labels->MutableReplica(0);
   rts::ParallelFor(pool, 0, n, smart::kChunkAlignedGrain, [&](int, uint64_t b, uint64_t e) {
     for (uint64_t v = b; v < e; ++v) {
-      label[v] = v;
+      parent[v] = v;
     }
   });
 
-  // One relaxation sweep over one (offsets, targets) pair, each array
-  // decoded at its own width (registry slots adapt independently, so the
-  // forward and reverse pairs can sit at different widths mid-program).
-  // Label propagation converges to the same fixpoint — the per-component
-  // minimum — whatever order the edges relax in, so sweeping the forward
-  // and reverse lists in separate passes preserves the oracle.
-  std::atomic<bool> changed{false};
-  const auto sweep = [&](const smart::SmartArray& offsets, const smart::SmartArray& targets) {
-    const auto& offset_codec = smart::CodecFor(offsets.bits());
-    smart::WithBits(targets.bits(), [&](auto target_bits_const) {
-      constexpr uint32_t kTargetBits = target_bits_const();
-      rts::ParallelFor(pool, 0, n, rts::kDefaultGrain, [&](int worker, uint64_t b, uint64_t e) {
-        const int socket = pool.worker_socket(worker);
-        const uint64_t* offsets_rep = offsets.GetReplica(socket);
-        const uint64_t* targets_rep = targets.GetReplica(socket);
-        bool local_changed = false;
-        for (uint64_t v = b; v < e; ++v) {
-          uint64_t m = LoadRelaxed(&label[v]);
-          // The neighbor list streams through the chunk-granular range
-          // kernel; the label reads stay per-element (random gathers).
-          smart::BitCompressedArray<kTargetBits>::ForEachRangeImpl(
-              targets_rep, offset_codec.get(offsets_rep, v), offset_codec.get(offsets_rep, v + 1),
-              [&](uint64_t u, uint64_t /*ei*/) { m = std::min(m, LoadRelaxed(&label[u])); });
-          // Monotone decrease; races only delay convergence.
-          if (m < LoadRelaxed(&label[v])) {
-            StoreRelaxed(&label[v], m);
-            local_changed = true;
-          }
-        }
-        if (local_changed) {
-          changed.store(true, std::memory_order_relaxed);
-        }
-      });
-      return 0;
-    });
-  };
-
-  uint64_t iterations = 0;
-  // Early-exit convergence: the loop ends the first round no label moved.
-  while (true) {
-    ++iterations;
-    changed.store(false);
-    sweep(*graph.begin, *graph.edge);
-    sweep(*graph.rbegin, *graph.redge);
-    if (!changed.load()) {
-      break;
+  // Union pass: every edge sits in its source's forward list, so one pass
+  // over begin/edge unites every weakly connected pair; redge adds nothing.
+  AdjacencyDecoder out_edges(pool, *graph.begin, *graph.edge);
+  rts::ParallelFor(pool, 0, n, kVertexBatch, [&](int worker, uint64_t b, uint64_t e) {
+    const AdjacencyBatch batch = out_edges.Decode(worker, b, e);
+    for (uint64_t i = 0; i < batch.size; ++i) {
+      uint64_t root = b + i;
+      for (const uint64_t u : batch.neighbors(i)) {
+        root = Unite(parent, root, u);
+      }
     }
-  }
+  });
 
-  SA_OBS_COUNT_N(kGraphCcIterations, iterations);
-  SA_OBS_COUNT_N(kGraphEdgesStreamed, 2 * iterations * graph.num_edges);
-  SA_OBS_COUNT_N(kGraphRandomGathers, 2 * iterations * graph.num_edges);
+  // Compress pass: every vertex points straight at its root, the smallest
+  // id of its component — the serial reference's label. Concurrent
+  // compression elsewhere only shortens the paths being walked.
+  rts::ParallelFor(pool, 0, n, kVertexBatch, [&](int, uint64_t b, uint64_t e) {
+    for (uint64_t v = b; v < e; ++v) {
+      StoreRelaxed(&parent[v], FindRoot(parent, v));
+    }
+  });
+
+  SA_OBS_COUNT_N(kGraphEdgesStreamed, graph.num_edges);
+  SA_OBS_COUNT_N(kGraphRandomGathers, graph.num_edges);
   if (mix != nullptr) {
-    // A round sweeps every offset array in ascending vertex order and
-    // streams both edge lists end to end.
-    mix->begin_seq += 2 * iterations * n;
-    mix->rbegin_seq += 2 * iterations * n;
-    mix->edge_seq += iterations * graph.num_edges;
-    mix->redge_seq += iterations * graph.num_edges;
+    // One pass over the forward pair; the parent lookups at each edge's
+    // target read private scratch, not a graph slot.
+    mix->begin_seq += n + 1;
+    mix->edge_seq += graph.num_edges;
   }
-  return std::vector<uint64_t>(label, label + n);
+  return std::vector<uint64_t>(parent, parent + n);
 }
 
 std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool,
@@ -337,12 +359,6 @@ uint64_t CountTriangles(const CsrGraph& graph) {
 
 namespace {
 
-// Vertices per batch in every phase. Both the adjacency build (a batch
-// decodes its vertices' whole edge ranges) and the intersections cost more
-// for high-degree vertices, so batches are much finer than a vertex sweep's
-// to keep power-law load spread across workers.
-constexpr uint64_t kTriangleGrain = 1024;
-
 struct TriPartial {
   uint64_t triangles = 0;
   uint64_t intersections = 0;  // ordered-intersection merges performed
@@ -361,12 +377,16 @@ inline uint64_t RankKey(uint64_t v, uint64_t degree) {
   return std::min<uint64_t>(degree, 0xffffffff) << 32 | v;
 }
 
-// Merges v's ascending forward list [fwd, fwd_end) and reverse list
-// [rev, rev_end) and appends each distinct neighbor that ranks above v
-// (never v itself) to `out`, in ascending id order. Returns the new end.
-uint32_t* AppendNeighborsAbove(const uint64_t* fwd, const uint64_t* fwd_end, const uint64_t* rev,
-                               const uint64_t* rev_end, uint64_t v, const uint64_t* rank,
-                               uint32_t* out) {
+// Merges v's ascending forward and reverse lists and appends each distinct
+// neighbor that ranks above v (never v itself) to `out`, in ascending id
+// order. Returns the new end.
+uint32_t* AppendNeighborsAbove(std::span<const uint64_t> fwd_list,
+                               std::span<const uint64_t> rev_list, uint64_t v,
+                               const uint64_t* rank, uint32_t* out) {
+  const uint64_t* fwd = fwd_list.data();
+  const uint64_t* const fwd_end = fwd + fwd_list.size();
+  const uint64_t* rev = rev_list.data();
+  const uint64_t* const rev_end = rev + rev_list.size();
   uint64_t prev = kUnreachable;  // not a vertex id: ids are 32-bit
   while (fwd != fwd_end || rev != rev_end) {
     const uint64_t u = fwd != fwd_end && (rev == rev_end || *fwd <= *rev) ? *fwd++ : *rev++;
@@ -388,84 +408,59 @@ uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph, Access
     return 0;
   }
   const int workers = pool.num_workers();
-  rts::WorkerLocal<std::vector<uint64_t>> fwd_buf(workers);
-  rts::WorkerLocal<std::vector<uint64_t>> rev_buf(workers);
+  AdjacencyDecoder out_edges(pool, *graph.begin, *graph.edge);
+  AdjacencyDecoder in_edges(pool, *graph.rbegin, *graph.redge);
 
-  // Phase 1: stream both offset arrays once, keeping the decoded offsets and
-  // each vertex's rank key (raw out+in degree, ties by id).
-  std::vector<uint64_t> fwd_first(n + 1);
-  std::vector<uint64_t> rev_first(n + 1);
+  // Phase 1: stream both offset arrays once for each vertex's rank key
+  // (raw out+in degree, ties by id).
   std::vector<uint64_t> rank(n);
-  rts::ParallelFor(pool, 0, n, kTriangleGrain, [&](int worker, uint64_t b, uint64_t e) {
-    const int socket = pool.worker_socket(worker);
-    // Offsets [b, e] land in worker buffers first: element e also belongs
-    // to the next batch, so writing it straight to fwd_first would race.
-    std::vector<uint64_t>& fwd = fwd_buf[worker];
-    std::vector<uint64_t>& rev = rev_buf[worker];
-    fwd.resize(e - b + 1);
-    rev.resize(e - b + 1);
-    smart::UnpackRange(*graph.begin, graph.begin->GetReplica(socket), b, e + 1, fwd.data());
-    smart::UnpackRange(*graph.rbegin, graph.rbegin->GetReplica(socket), b, e + 1, rev.data());
-    const uint64_t copied = e == n ? e - b + 1 : e - b;
-    std::copy_n(fwd.data(), copied, fwd_first.data() + b);
-    std::copy_n(rev.data(), copied, rev_first.data() + b);
-    for (uint64_t v = b; v < e; ++v) {
-      const uint64_t i = v - b;
-      rank[v] = RankKey(v, (fwd[i + 1] - fwd[i]) + (rev[i + 1] - rev[i]));
+  rts::ParallelFor(pool, 0, n, kVertexBatch, [&](int worker, uint64_t b, uint64_t e) {
+    const uint64_t* fwd = out_edges.DecodeOffsets(worker, b, e);
+    const uint64_t* rev = in_edges.DecodeOffsets(worker, b, e);
+    for (uint64_t i = 0; i < e - b; ++i) {
+      rank[b + i] = RankKey(b + i, (fwd[i + 1] - fwd[i]) + (rev[i + 1] - rev[i]));
     }
   });
 
   // Phase 2: the oriented adjacency N+(v) — v's distinct neighbors of higher
-  // rank, ascending by id, as 32-bit ids. A batch's vertices own one
-  // contiguous range of `edge` and of `redge`, so each batch decodes those
-  // ranges with one UnpackRange per array. One merge per vertex writes the
-  // kept ids into the worker's staging buffer (the batch's decoded length
-  // bounds it) and prefix-sums their counts; the batch's lists are then
-  // copied into one exactly-sized block.
-  const uint64_t num_batches = (n + kTriangleGrain - 1) / kTriangleGrain;
+  // rank, ascending by id, as 32-bit ids. Each batch decodes its forward
+  // and reverse lists once; one merge per vertex writes the kept ids into
+  // the worker's staging buffer (the batch's decoded length bounds it) and
+  // prefix-sums their counts; the batch's lists are then copied into one
+  // exactly-sized block.
+  const uint64_t num_batches = (n + kVertexBatch - 1) / kVertexBatch;
   std::vector<std::unique_ptr<uint32_t[]>> blocks(num_batches);
   std::vector<std::span<const uint32_t>> above(n);
   rts::WorkerLocal<std::vector<uint32_t>> staging(workers);
   rts::WorkerLocal<std::vector<uint64_t>> first_buf(workers);
-  rts::ParallelFor(pool, 0, n, kTriangleGrain, [&](int worker, uint64_t b, uint64_t e) {
-    const int socket = pool.worker_socket(worker);
-    std::vector<uint64_t>& fwd = fwd_buf[worker];
-    std::vector<uint64_t>& rev = rev_buf[worker];
-    fwd.resize(fwd_first[e] - fwd_first[b]);
-    rev.resize(rev_first[e] - rev_first[b]);
-    smart::UnpackRange(*graph.edge, graph.edge->GetReplica(socket), fwd_first[b], fwd_first[e],
-                       fwd.data());
-    smart::UnpackRange(*graph.redge, graph.redge->GetReplica(socket), rev_first[b],
-                       rev_first[e], rev.data());
+  rts::ParallelFor(pool, 0, n, kVertexBatch, [&](int worker, uint64_t b, uint64_t e) {
+    const AdjacencyBatch fwd = out_edges.Decode(worker, b, e);
+    const AdjacencyBatch rev = in_edges.Decode(worker, b, e);
     std::vector<uint32_t>& kept = staging[worker];
-    kept.resize(fwd.size() + rev.size());
-    // first[i] is vertex b+i's start within the batch's lists.
+    kept.resize(fwd.num_edges() + rev.num_edges());
+    // first[i] is vertex b+i's start within the batch's kept lists.
     std::vector<uint64_t>& first = first_buf[worker];
     first.resize(e - b + 1);
     first[0] = 0;
     uint32_t* out = kept.data();
-    for (uint64_t v = b; v < e; ++v) {
-      out = AppendNeighborsAbove(fwd.data() + (fwd_first[v] - fwd_first[b]),
-                                 fwd.data() + (fwd_first[v + 1] - fwd_first[b]),
-                                 rev.data() + (rev_first[v] - rev_first[b]),
-                                 rev.data() + (rev_first[v + 1] - rev_first[b]), v, rank.data(),
-                                 out);
-      first[v - b + 1] = static_cast<uint64_t>(out - kept.data());
+    for (uint64_t i = 0; i < e - b; ++i) {
+      out = AppendNeighborsAbove(fwd.neighbors(i), rev.neighbors(i), b + i, rank.data(), out);
+      first[i + 1] = static_cast<uint64_t>(out - kept.data());
     }
     std::unique_ptr<uint32_t[]> block = std::make_unique_for_overwrite<uint32_t[]>(first[e - b]);
     std::copy_n(kept.data(), first[e - b], block.get());
-    for (uint64_t v = b; v < e; ++v) {
-      above[v] = {block.get() + first[v - b], block.get() + first[v - b + 1]};
+    for (uint64_t i = 0; i < e - b; ++i) {
+      above[b + i] = {block.get() + first[i], block.get() + first[i + 1]};
     }
     // ParallelFor batches start at multiples of the grain, so b / grain
     // numbers this batch.
-    blocks[b / kTriangleGrain] = std::move(block);
+    blocks[b / kVertexBatch] = std::move(block);
   });
 
   // Phase 3: each triangle {a, b, c} ranked a < b < c is counted exactly
   // once, at v = a and u = b, as the c in N+(a) ∩ N+(b).
   const TriPartial total = rts::ParallelReduce<TriPartial>(
-      pool, 0, n, kTriangleGrain, [&](int, uint64_t b, uint64_t e) {
+      pool, 0, n, kVertexBatch, [&](int, uint64_t b, uint64_t e) {
         TriPartial local;
         for (uint64_t v = b; v < e; ++v) {
           // The neighbors' list headers and lists are random reads: request
@@ -492,10 +487,11 @@ uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph, Access
   SA_OBS_COUNT_N(kGraphTriIntersections, total.intersections);
   SA_OBS_COUNT_N(kGraphEdgesStreamed, 2 * graph.num_edges);
   if (mix != nullptr) {
-    // Every topology array streams past exactly once; no element is
-    // gathered at a data-dependent index.
-    mix->begin_seq += n + 1;
-    mix->rbegin_seq += n + 1;
+    // Each edge array streams past once and each offset array twice (the
+    // rank phase and the adjacency build); no element is gathered at a
+    // data-dependent index.
+    mix->begin_seq += 2 * (n + 1);
+    mix->rbegin_seq += 2 * (n + 1);
     mix->edge_seq += graph.num_edges;
     mix->redge_seq += graph.num_edges;
   }

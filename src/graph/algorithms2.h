@@ -42,15 +42,17 @@ std::vector<uint64_t> BfsLevelsSmart(rts::WorkerPool& pool, const CsrView& graph
 std::vector<uint64_t> BfsLevelsSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph,
                                      VertexId source, const platform::Topology& topology);
 
-// ---- Connected components (undirected view, label propagation) ----
+// ---- Connected components (undirected view) ----
 
 // Serial reference: component labels (smallest vertex id in the component),
-// treating every edge as undirected.
+// treating every edge as undirected; label propagation to a fixpoint.
 std::vector<uint64_t> ConnectedComponents(const CsrGraph& graph);
 
-// Parallel label propagation with early-exit convergence: rounds stop as
-// soon as no label moved. Labels relax monotonically downward through
-// relaxed atomics, so cross-worker races only delay convergence.
+// Parallel lock-free union-find: one pass over the batch-decoded forward
+// lists (begin/edge; every edge is in its source's list, so redge is never
+// read) hooks the larger root under the smaller, keeping parent[x] <= x so
+// each root is its component's smallest id; one more pass compresses every
+// vertex onto its root. Labels equal the serial reference's.
 std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool, const CsrView& graph,
                                                const platform::Topology& topology,
                                                AccessMix* mix = nullptr);

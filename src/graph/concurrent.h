@@ -15,9 +15,9 @@
 // accounted (AccessMix) into the slots' workload counters — the daemon
 // drains those, so each property array adapts to the access pattern of the
 // algorithms actually touching it (paper §5.2: BFS streams edge lists and
-// gathers offsets, PageRank gathers the degree property, triangle counting
-// streams every topology array once; the selector may send the same array
-// to different layouts under different algorithms).
+// gathers offsets; connected components, PageRank and triangle counting
+// stream the arrays they read; the selector may send the same array to
+// different layouts under different algorithms).
 #ifndef SA_GRAPH_CONCURRENT_H_
 #define SA_GRAPH_CONCURRENT_H_
 

@@ -87,7 +87,6 @@ constexpr const char* kCounterNames[kCounterIdCount] = {
     "sa_daemon_shard_steals_total",
     "sa_daemon_backpressure_drops_total",
     "sa_graph_bfs_rounds_total",
-    "sa_graph_cc_iterations_total",
     "sa_graph_frontier_pushes_total",
     "sa_graph_edges_streamed_total",
     "sa_graph_random_gathers_total",

@@ -64,7 +64,6 @@ enum CounterId : int {
   kDaemonShardSteals,
   kDaemonBackpressureDrops,
   kGraphBfsRounds,
-  kGraphCcIterations,
   kGraphFrontierPushes,
   kGraphEdgesStreamed,
   kGraphRandomGathers,

@@ -655,12 +655,16 @@ class BitCompressedArray final : public SmartArray {
     for (; i < head_end; ++i) {
       fn(GetImpl(replica, i), i);
     }
-    uint64_t buffer[kChunkElems];
-    const auto unpack_chunk = KernelsFor(BITS).unpack_chunk;
-    for (; i + kChunkElems <= end; i += kChunkElems) {
-      unpack_chunk(replica, i / kChunkElems, buffer);
-      for (uint32_t j = 0; j < kChunkElems; ++j) {
-        fn(buffer[j], i + j);
+    // Short ranges (BFS's per-vertex lists) often hold no whole chunk, so
+    // the kernel is looked up only when one is there to decode.
+    if (i + kChunkElems <= end) {
+      uint64_t buffer[kChunkElems];
+      const auto unpack_chunk = KernelsFor(BITS).unpack_chunk;
+      for (; i + kChunkElems <= end; i += kChunkElems) {
+        unpack_chunk(replica, i / kChunkElems, buffer);
+        for (uint32_t j = 0; j < kChunkElems; ++j) {
+          fn(buffer[j], i + j);
+        }
       }
     }
     for (; i < end; ++i) {

@@ -1,11 +1,11 @@
 #include "table/table.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/bits.h"
 #include "common/macros.h"
 #include "rts/parallel_for.h"
+#include "rts/worker_local.h"
 
 namespace sa::table {
 namespace {
@@ -14,10 +14,17 @@ namespace {
 // large enough to amortize, small enough to stay cache-resident).
 constexpr uint64_t kVectorRows = 4 * kChunkElems;
 
+// Per-worker decode buffers, reused across a scan's batches so no batch
+// allocates.
+struct ScanBuffers {
+  std::vector<std::vector<uint64_t>> predicates;  // one per predicate column
+  std::vector<uint64_t> values;
+};
+
 // Evaluates a conjunctive predicate set over a decoded row vector, calling
 // fn(row_offset) for every qualifying row.
 template <typename Fn>
-void ForEachMatch(const Table& table, const std::vector<Predicate>& predicates,
+void ForEachMatch(const std::vector<Predicate>& predicates,
                   const std::vector<const encodings::EncodedArray*>& pred_columns, int socket,
                   uint64_t begin, uint64_t end, std::vector<std::vector<uint64_t>>* buffers,
                   const Fn& fn) {
@@ -40,6 +47,64 @@ void ForEachMatch(const Table& table, const std::vector<Predicate>& predicates,
     }
   }
 }
+
+// Open-addressing (linear probing) key -> sum map for one worker's groups:
+// a row costs one hash and, for a key seen before, no allocation.
+class GroupSums {
+ public:
+  GroupSums() : slots_(16) {}
+
+  void Add(uint64_t key, uint64_t value) {
+    for (size_t i = SlotOf(key);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& slot = slots_[i];
+      if (slot.used && slot.key == key) {
+        slot.sum += value;
+        return;
+      }
+      if (!slot.used) {
+        slot = {key, value, true};
+        if (2 * ++size_ > slots_.size()) {
+          Grow();
+        }
+        return;
+      }
+    }
+  }
+
+  // Appends every (key, sum) pair, in no particular order.
+  void AppendTo(std::vector<std::pair<uint64_t, uint64_t>>* out) const {
+    for (const Slot& slot : slots_) {
+      if (slot.used) {
+        out->emplace_back(slot.key, slot.sum);
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    uint64_t sum = 0;
+    bool used = false;
+  };
+
+  size_t SlotOf(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32) & (slots_.size() - 1);
+  }
+
+  void Grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.used) {
+        Add(slot.key, slot.sum);
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
 
 std::vector<const encodings::EncodedArray*> ResolveColumns(
     const Table& table, const std::vector<Predicate>& predicates) {
@@ -122,12 +187,12 @@ bool Predicate::Matches(uint64_t v) const {
 uint64_t CountWhere(rts::WorkerPool& pool, const Table& table,
                     const std::vector<Predicate>& predicates) {
   const auto columns = ResolveColumns(table, predicates);
+  rts::WorkerLocal<ScanBuffers> buffers(pool.num_workers());
   return rts::ParallelReduce<uint64_t>(
       pool, 0, table.num_rows(), kVectorRows, [&](int worker, uint64_t b, uint64_t e) {
-        std::vector<std::vector<uint64_t>> buffers;
         uint64_t local = 0;
-        ForEachMatch(table, predicates, columns, pool.worker_socket(worker), b, e, &buffers,
-                     [&](uint64_t) { ++local; });
+        ForEachMatch(predicates, columns, pool.worker_socket(worker), b, e,
+                     &buffers[worker].predicates, [&](uint64_t) { ++local; });
         return local;
       });
 }
@@ -136,15 +201,16 @@ uint64_t SumWhere(rts::WorkerPool& pool, const Table& table, const std::string& 
                   const std::vector<Predicate>& predicates) {
   const auto columns = ResolveColumns(table, predicates);
   const encodings::EncodedArray& values = table.column(sum_column);
+  rts::WorkerLocal<ScanBuffers> buffers(pool.num_workers());
   return rts::ParallelReduce<uint64_t>(
       pool, 0, table.num_rows(), kVectorRows, [&](int worker, uint64_t b, uint64_t e) {
         const int socket = pool.worker_socket(worker);
-        std::vector<std::vector<uint64_t>> buffers;
-        std::vector<uint64_t> value_buffer(e - b);
-        values.Decode(b, e, socket, value_buffer.data());
+        ScanBuffers& buf = buffers[worker];
+        buf.values.resize(e - b);
+        values.Decode(b, e, socket, buf.values.data());
         uint64_t local = 0;
-        ForEachMatch(table, predicates, columns, socket, b, e, &buffers,
-                     [&](uint64_t i) { local += value_buffer[i]; });
+        ForEachMatch(predicates, columns, socket, b, e, &buf.predicates,
+                     [&](uint64_t i) { local += buf.values[i]; });
         return local;
       });
 }
@@ -155,34 +221,49 @@ std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, con
   const encodings::EncodedArray& keys = table.column(key_column);
   const encodings::EncodedArray& values = table.column(value_column);
 
-  std::vector<std::map<uint64_t, uint64_t>> partials(pool.num_workers());
+  struct Partial {
+    std::vector<uint64_t> keys;
+    std::vector<uint64_t> values;
+    GroupSums groups;
+  };
+  rts::WorkerLocal<Partial> partials(pool.num_workers());
   rts::ParallelFor(pool, 0, table.num_rows(), kVectorRows,
                    [&](int worker, uint64_t b, uint64_t e) {
                      const int socket = pool.worker_socket(worker);
-                     std::vector<uint64_t> key_buffer(e - b);
-                     std::vector<uint64_t> value_buffer(e - b);
-                     keys.Decode(b, e, socket, key_buffer.data());
-                     values.Decode(b, e, socket, value_buffer.data());
-                     auto& groups = partials[worker];
+                     Partial& partial = partials[worker];
+                     partial.keys.resize(e - b);
+                     partial.values.resize(e - b);
+                     keys.Decode(b, e, socket, partial.keys.data());
+                     values.Decode(b, e, socket, partial.values.data());
                      for (uint64_t i = 0; i < e - b; ++i) {
-                       groups[key_buffer[i]] += value_buffer[i];
+                       partial.groups.Add(partial.keys[i], partial.values[i]);
                      }
                    });
-  std::map<uint64_t, uint64_t> merged;
-  for (const auto& partial : partials) {
-    for (const auto& [key, sum] : partial) {
-      merged[key] += sum;
+  // Merge: gather every worker's groups, sort once by key, and fold the
+  // runs of equal keys.
+  std::vector<std::pair<uint64_t, uint64_t>> groups;
+  partials.ForEach([&](int, Partial& partial) { partial.groups.AppendTo(&groups); });
+  std::sort(groups.begin(), groups.end());
+  size_t kept = 0;
+  for (const auto& [key, sum] : groups) {
+    if (kept > 0 && groups[kept - 1].first == key) {
+      groups[kept - 1].second += sum;
+    } else {
+      groups[kept++] = {key, sum};
     }
   }
-  return {merged.begin(), merged.end()};
+  groups.resize(kept);
+  return groups;
 }
 
 MinMax MinMaxOf(rts::WorkerPool& pool, const Table& table, const std::string& column) {
   const encodings::EncodedArray& values = table.column(column);
   std::vector<MinMax> partials(pool.num_workers(), {~uint64_t{0}, 0});
+  rts::WorkerLocal<std::vector<uint64_t>> buffers(pool.num_workers());
   rts::ParallelFor(pool, 0, table.num_rows(), kVectorRows,
                    [&](int worker, uint64_t b, uint64_t e) {
-                     std::vector<uint64_t> buffer(e - b);
+                     std::vector<uint64_t>& buffer = buffers[worker];
+                     buffer.resize(e - b);
                      values.Decode(b, e, pool.worker_socket(worker), buffer.data());
                      auto& mm = partials[worker];
                      for (const uint64_t v : buffer) {

@@ -47,7 +47,7 @@ enum class OpKind : uint8_t {
   // Model-derived inputs keep the ops shrink-safe; under concurrent_daemon
   // the upload+traversal races live restructures of the graph's own slots.
   kGraphBfs,      // BFS levels from source b % nv
-  kGraphCc,       // connected components (undirected label propagation)
+  kGraphCc,       // connected components (undirected, union-find)
   kGraphTri,      // triangle count (degree-ordered intersection)
   // Pushdown scans (scan_ops scenarios): range = sorted (a,b) % (len+1),
   // comparison op = c % 6, constant picked by c from a boundary ladder

@@ -10,9 +10,11 @@
 // through epoch-pinned snapshots, which is the race-free production shape.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -98,10 +100,7 @@ class ConcurrentGraphTest : public ::testing::Test {
       EXPECT_EQ(BfsLevels(pool_, snapshot, source, topo_), ref.bfs) << label;
       const PageRankResult pr = PageRank(pool_, snapshot, topo_);
       EXPECT_EQ(pr.iterations, ref.pagerank.iterations) << label;
-      ASSERT_EQ(pr.ranks.size(), ref.pagerank.ranks.size()) << label;
-      for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-        ASSERT_NEAR(pr.ranks[v], ref.pagerank.ranks[v], 1e-12) << label << " vertex " << v;
-      }
+      EXPECT_EQ(pr.ranks, ref.pagerank.ranks) << label;  // bitwise
       snapshot.Release();
     }
     GraphSnapshot snapshot = g.Pin();
@@ -252,6 +251,47 @@ TEST_F(ConcurrentGraphTest, TrianglesMatchWithEdgeAndRedgeAtDifferentWidths) {
   snapshot.Release();
 }
 
+// Only `redge` is narrowed, by a Restructure + Publish on another thread
+// while PageRank and connected components keep pinning and running: the
+// pull loop then reads rbegin at 64 bits and redge at its data width. Every
+// run, before, during and after the publish, must match the references
+// bitwise.
+TEST_F(ConcurrentGraphTest, OnlyRedgeNarrowedMidRunKeepsAnswers) {
+  const CsrGraph csr = PowerLawGraph(/*num_vertices=*/2100, /*num_edges=*/9000, /*alpha=*/0.7,
+                                     /*seed=*/23);
+  const Reference ref = ComputeReference(csr, /*source=*/0);
+  RegistryCsrGraph g(registry_, "redge-only", csr, SmartGraphOptions{});  // U tier
+  runtime::ArraySlot* redge_slot = g.slots()[3];
+
+  std::atomic<bool> published{false};
+  std::thread publisher([&] {
+    runtime::ArraySnapshot current = redge_slot->Acquire();
+    std::unique_ptr<smart::SmartArray> narrowed = smart::Restructure(
+        daemon_pool_, current.array(), current.array().placement(),
+        smart::MinimalBits(daemon_pool_, current.array()), topo_);
+    current.Release();
+    EXPECT_TRUE(registry_.Publish(*redge_slot, std::move(narrowed), redge_slot->write_count()));
+    published.store(true);
+  });
+  int runs_after = 0;
+  for (int run = 0; runs_after < 2; ++run) {
+    const bool was_published = published.load();
+    GraphSnapshot snapshot = g.Pin();
+    EXPECT_EQ(PageRank(pool_, snapshot, topo_).ranks, ref.pagerank.ranks) << "run " << run;
+    EXPECT_EQ(ConnectedComponents(pool_, snapshot, topo_), ref.cc) << "run " << run;
+    snapshot.Release();
+    runs_after += was_published ? 1 : 0;
+  }
+  publisher.join();
+
+  GraphSnapshot snapshot = g.Pin();
+  const CsrView view = snapshot.view();
+  EXPECT_LT(view.redge_bits(), 32u);
+  EXPECT_EQ(view.edge_bits(), 32u);
+  EXPECT_EQ(view.rbegin_bits(), 64u);
+  snapshot.Release();
+}
+
 // Snapshot pinning is what makes mid-traversal publishes invisible: results
 // computed over a snapshot pinned BEFORE the restructure still match the
 // references (the pinned versions stay alive and immutable), while a fresh
@@ -281,10 +321,7 @@ TEST_F(ConcurrentGraphTest, PinnedSnapshotSurvivesConcurrentPublish) {
   EXPECT_EQ(ConnectedComponents(pool_, old_snapshot, topo_), ref.cc);
   EXPECT_EQ(CountTriangles(pool_, old_snapshot), ref.triangles);
   EXPECT_EQ(DegreeCentrality(pool_, old_snapshot, topo_), ref.degree);
-  const PageRankResult pr = PageRank(pool_, old_snapshot, topo_);
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    ASSERT_NEAR(pr.ranks[v], ref.pagerank.ranks[v], 1e-12) << "vertex " << v;
-  }
+  EXPECT_EQ(PageRank(pool_, old_snapshot, topo_).ranks, ref.pagerank.ranks);
   old_snapshot.Release();
 
   GraphSnapshot fresh = g.Pin();
@@ -296,46 +333,63 @@ TEST_F(ConcurrentGraphTest, PinnedSnapshotSurvivesConcurrentPublish) {
 // Released snapshots flush their per-array access tallies into the slots'
 // workload counters — the channel the daemon adapts through. Different
 // algorithms leave recognizably different mixes: degree centrality streams
-// the offset arrays and never touches edges; PageRank gathers the degree
-// property at random; triangle counting streams the edge lists.
+// the offset arrays and never touches edges; connected components streams
+// only the forward pair; PageRank streams the reverse pair and the degree
+// property; triangle counting streams all four topology arrays. None of the
+// batch-decoded kernels gathers from a slot at random.
 TEST_F(ConcurrentGraphTest, AccessMixReachesSlotCounters) {
   const CsrGraph csr = UniformRandomGraph(/*num_vertices=*/200, /*out_degree=*/3, /*seed=*/4);
   RegistryCsrGraph g(registry_, "mix", csr, SmartGraphOptions{});
   // Slot order: begin, edge, rbegin, redge, deg. Drop the upload's writes.
-  for (runtime::ArraySlot* slot : g.slots()) {
-    slot->DrainSample();
-  }
+  const auto drain = [&] {
+    std::vector<runtime::SlotSample> samples;
+    for (runtime::ArraySlot* slot : g.slots()) {
+      samples.push_back(slot->DrainSample());
+    }
+    return samples;
+  };
+  drain();
 
   GraphSnapshot snapshot = g.Pin();
   DegreeCentrality(pool_, snapshot, topo_);
   snapshot.Release();
-  runtime::SlotSample begin_sample = g.slots()[0]->DrainSample();
-  runtime::SlotSample edge_sample = g.slots()[1]->DrainSample();
-  EXPECT_GE(begin_sample.sequential_reads, csr.num_vertices() + 1);
-  EXPECT_EQ(begin_sample.random_reads, 0u);
-  EXPECT_EQ(edge_sample.reads(), 0u);
+  std::vector<runtime::SlotSample> s = drain();
+  EXPECT_GE(s[0].sequential_reads, csr.num_vertices() + 1);
+  EXPECT_EQ(s[0].random_reads, 0u);
+  EXPECT_EQ(s[1].reads(), 0u);
 
+  // Connected components: one pass over begin/edge, nothing else.
   snapshot = g.Pin();
-  PageRank(pool_, snapshot, topo_);
+  ConnectedComponents(pool_, snapshot, topo_);
   snapshot.Release();
-  runtime::SlotSample degree_sample = g.slots()[4]->DrainSample();
-  runtime::SlotSample redge_sample = g.slots()[3]->DrainSample();
-  EXPECT_GT(degree_sample.random_reads, 0u);
-  EXPECT_GT(redge_sample.sequential_reads, 0u);
-  for (runtime::ArraySlot* slot : g.slots()) {
-    slot->DrainSample();
-  }
+  s = drain();
+  EXPECT_EQ(s[0].sequential_reads, csr.num_vertices() + 1);
+  EXPECT_EQ(s[1].sequential_reads, csr.num_edges());
+  EXPECT_EQ(s[0].random_reads + s[1].random_reads, 0u);
+  EXPECT_EQ(s[2].reads() + s[3].reads() + s[4].reads(), 0u);
+
+  // PageRank: per iteration, the degree property streams with the ranks
+  // and the reverse pair streams in the pull; the forward pair is unused.
+  snapshot = g.Pin();
+  const PageRankResult pr = PageRank(pool_, snapshot, topo_);
+  snapshot.Release();
+  s = drain();
+  const uint64_t iters = static_cast<uint64_t>(pr.iterations);
+  EXPECT_EQ(s[4].sequential_reads, iters * csr.num_vertices());
+  EXPECT_EQ(s[4].random_reads, 0u);
+  EXPECT_EQ(s[3].sequential_reads, iters * csr.num_edges());
+  EXPECT_EQ(s[2].random_reads + s[3].random_reads, 0u);
+  EXPECT_EQ(s[0].reads() + s[1].reads(), 0u);
 
   // Triangle counting streams both target arrays once and gathers nothing.
   snapshot = g.Pin();
   CountTriangles(pool_, snapshot);
   snapshot.Release();
-  edge_sample = g.slots()[1]->DrainSample();
-  redge_sample = g.slots()[3]->DrainSample();
-  EXPECT_GE(edge_sample.sequential_reads, csr.num_edges());
-  EXPECT_EQ(edge_sample.random_reads, 0u);
-  EXPECT_GE(redge_sample.sequential_reads, csr.num_edges());
-  EXPECT_EQ(redge_sample.random_reads, 0u);
+  s = drain();
+  EXPECT_GE(s[1].sequential_reads, csr.num_edges());
+  EXPECT_EQ(s[1].random_reads, 0u);
+  EXPECT_GE(s[3].sequential_reads, csr.num_edges());
+  EXPECT_EQ(s[3].random_reads, 0u);
 }
 
 // RegistryCsrGraph seals its five slots after upload, so the daemon's §6.1

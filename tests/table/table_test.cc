@@ -125,6 +125,28 @@ TEST_F(TableTest, GroupBySumMatchesBruteForce) {
   }
 }
 
+// Thousands of distinct keys, 0 and the all-ones key among them: every
+// worker's map grows many times, and the same key lands in several workers'
+// maps, so the merge must fold them.
+TEST_F(TableTest, GroupBySumWithManyKeysMatchesBruteForce) {
+  Xoshiro256 rng(9);
+  std::vector<uint64_t> keys(kRows);
+  std::vector<uint64_t> values(kRows);
+  std::map<uint64_t, uint64_t> want;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    const uint64_t pick = rng.Below(5000);
+    keys[i] = pick == 0 ? ~uint64_t{0} : pick == 1 ? 0 : pick * 0x100000001ULL;
+    values[i] = rng.Below(1'000'000);
+    want[keys[i]] += values[i];
+  }
+  Table::Builder builder;
+  builder.AddColumn("k", keys).AddColumn("v", values);
+  const Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo_);
+  const auto got = GroupBySum(pool_, t, "k", "v");
+  const std::vector<std::pair<uint64_t, uint64_t>> want_sorted(want.begin(), want.end());
+  EXPECT_EQ(got, want_sorted);
+}
+
 TEST_F(TableTest, MinMaxMatchesBruteForce) {
   const Table t = Build();
   const auto mm = MinMaxOf(pool_, t, "price");
