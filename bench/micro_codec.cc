@@ -5,7 +5,8 @@
 //
 // The binary has a custom main: before running google-benchmark it times
 // the sum kernels (scalar iterator, block, the AVX2 v2 shift network, and
-// the kernel table's selection) plus both streaming-seam
+// the kernel table's selection), the select_if match-mask kernels (block
+// and AVX2 v2), plus both streaming-seam
 // directions (unpack-range / pack-range) at every width 1..64, and writes
 // BENCH_codec.json (a JSON array, one object per {width, placement, kernel}
 // config with bytes/s of compressed data processed). SA_BENCH_FAST=1
@@ -15,6 +16,7 @@
 
 #include <array>
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -167,10 +169,39 @@ uint64_t PackRangeRun(std::vector<uint64_t>& words, uint32_t bits, const uint64_
   return words[0];
 }
 
+// Match-mask (select_if) pass over the same words: one `v < 2^(bits-1)`
+// mask per chunk (about half the uniform values match) into a selection
+// bitmap, the per-chunk work SelectIfRange does, through `match_mask`.
+template <typename MatchMask>
+uint64_t SelectChunks(const std::vector<uint64_t>& words, uint32_t bits, uint64_t* bitmap,
+                      MatchMask match_mask) {
+  const uint64_t bound = uint64_t{1} << (bits - 1);
+  uint64_t count = 0;
+  for (uint64_t chunk = 0; chunk < kSumElems / sa::kChunkElems; ++chunk) {
+    bitmap[chunk] = match_mask(words.data(), chunk, bound, false, false);
+    count += static_cast<uint64_t>(std::popcount(bitmap[chunk]));
+  }
+  return count;
+}
+
+uint64_t BlockSelect(const std::vector<uint64_t>& words, uint32_t bits, uint64_t* bitmap) {
+  return sa::smart::WithBits(bits, [&](auto bits_const) -> uint64_t {
+    return SelectChunks(words, bits, bitmap,
+                        &sa::smart::BitCompressedArray<bits_const()>::MatchMaskChunkImpl);
+  });
+}
+
 #if defined(SA_HAVE_AVX2_KERNELS)
 uint64_t V2Sum(const std::vector<uint64_t>& words, uint32_t bits) {
   return sa::smart::WithBits(bits, [&](auto bits_const) -> uint64_t {
     return sa::smart::BitCompressedArray<bits_const()>::SumRangeV2(words.data(), 0, kSumElems);
+  });
+}
+
+uint64_t V2Select(const std::vector<uint64_t>& words, uint32_t bits, uint64_t* bitmap) {
+  return sa::smart::WithBits(bits, [&](auto bits_const) -> uint64_t {
+    return SelectChunks(words, bits, bitmap,
+                        &sa::smart::BitCompressedArray<bits_const()>::MatchMaskChunkV2);
   });
 }
 #endif
@@ -419,6 +450,7 @@ void WriteBenchJson(const char* path) {
   std::fprintf(f, "[\n");
   bool first = true;
   std::vector<uint64_t> buffer(kSumElems);
+  std::vector<uint64_t> bitmap(kSumElems / sa::kChunkElems);
   for (uint32_t bits = 1; bits <= 64; ++bits) {
     auto words = MakeWords(kSumElems, bits);
     const auto emit = [&](const char* kernel, double bytes_per_sec) {
@@ -433,13 +465,18 @@ void WriteBenchJson(const char* path) {
       buffer[i] = sa::SplitMix64(i) & sa::LowMask(bits);
     }
     // Every series for this width: the scalar baselines, the AVX2 v2
-    // kernel (where it exists), and the streaming seam in both directions.
+    // kernels (where they exist) for sum and for the select_if match mask,
+    // and the streaming seam in both directions.
     std::vector<std::pair<const char*, std::function<uint64_t()>>> series;
     series.emplace_back("scalar-iterator", [&] { return IteratorSum(words, bits); });
     series.emplace_back("block", [&] { return BlockSum(words, bits); });
+    series.emplace_back("select-if-block",
+                        [&] { return BlockSelect(words, bits, bitmap.data()); });
 #if defined(SA_HAVE_AVX2_KERNELS)
     if (V2Runnable(bits)) {
       series.emplace_back("avx2-v2", [&] { return V2Sum(words, bits); });
+      series.emplace_back("select-if-avx2-v2",
+                          [&] { return V2Select(words, bits, bitmap.data()); });
     }
 #endif
     series.emplace_back("unpack-range", [&] { return UnpackRangeSum(words, bits, buffer.data()); });

@@ -6,22 +6,18 @@
 #include "common/bits.h"
 #include "common/macros.h"
 #include "smart/dispatch.h"
-#include "smart/iterator.h"
+#include "smart/parallel_ops.h"
 
 namespace sa::encodings {
 namespace {
 
+// Packs through the streaming seam, which also installs exact chunk zone
+// bounds on every payload array (the pushdown scans trust them).
 std::unique_ptr<smart::SmartArray> PackValues(std::span<const uint64_t> values, uint32_t bits,
                                               const smart::PlacementSpec& placement,
                                               const platform::Topology& topology) {
   auto array = smart::SmartArray::Allocate(values.size(), placement, bits, topology);
-  const auto& codec = smart::CodecFor(bits);
-  for (int r = 0; r < array->num_replicas(); ++r) {
-    uint64_t* replica = array->MutableReplica(r);
-    for (uint64_t i = 0; i < values.size(); ++i) {
-      codec.init(replica, i, values[i]);
-    }
-  }
+  smart::PackRange(*array, 0, values.size(), values.data());
   return array;
 }
 
@@ -33,7 +29,31 @@ uint32_t MaxBits(std::span<const uint64_t> values) {
   return BitsForValue(max_value);
 }
 
+void ZeroBitmap(uint64_t begin, uint64_t end, uint64_t* bitmap) {
+  std::fill_n(bitmap, (end - begin + kWordBits - 1) / kWordBits, 0);
+}
+
+// `v op c` over values base + delta, restated over the deltas. A constant
+// below the base is below every value, so the compare answers the same for
+// every row: all for NE/GT/GE, none for EQ/LT/LE.
+smart::Predicate RebaseOnto(smart::Predicate p, uint64_t base) {
+  if (p.constant >= base) {
+    return {p.op, p.constant - base};
+  }
+  const bool all = p.op == smart::CmpOp::kNe || p.op == smart::CmpOp::kGt ||
+                   p.op == smart::CmpOp::kGe;
+  return all ? smart::Predicate{smart::CmpOp::kGe, 0} : smart::Predicate{smart::CmpOp::kLt, 0};
+}
+
 }  // namespace
+
+uint64_t EncodedArray::footprint_bytes() const {
+  uint64_t total = 0;
+  for (const smart::SmartArray* payload : payloads_) {
+    total += payload->footprint_bytes();
+  }
+  return total;
+}
 
 std::unique_ptr<EncodedArray> EncodedArray::Encode(std::span<const uint64_t> values,
                                                    std::optional<Encoding> encoding,
@@ -61,6 +81,7 @@ BitPackedArray::BitPackedArray(std::span<const uint64_t> values,
                                const platform::Topology& topology)
     : EncodedArray(values.size(), Encoding::kBitPacked) {
   data_ = PackValues(values, MaxBits(values), placement, topology);
+  payloads_ = {data_.get()};
 }
 
 uint64_t BitPackedArray::Get(uint64_t index, int socket) const {
@@ -68,18 +89,13 @@ uint64_t BitPackedArray::Get(uint64_t index, int socket) const {
 }
 
 void BitPackedArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
-  smart::WithBits(data_->bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    smart::TypedIterator<kBits> it(data_->GetReplica(socket), begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      *out++ = it.Get();
-      it.Next();
-    }
-    return 0;
-  });
+  smart::UnpackRange(*data_, data_->GetReplica(socket), begin, end, out);
 }
 
-uint64_t BitPackedArray::footprint_bytes() const { return data_->footprint_bytes(); }
+uint64_t BitPackedArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                                  uint64_t* bitmap) const {
+  return data_->SelectIf(data_->GetReplica(socket), begin, end, p, bitmap);
+}
 
 // ---- DictionaryArray ----
 
@@ -103,6 +119,7 @@ DictionaryArray::DictionaryArray(std::span<const uint64_t> values,
     codes[i] = code_of.at(values[i]);
   }
   codes_ = PackValues(codes, BitsForCount(sorted.size()), placement, topology);
+  payloads_ = {dictionary_.get(), codes_.get()};
 }
 
 uint64_t DictionaryArray::Get(uint64_t index, int socket) const {
@@ -111,20 +128,46 @@ uint64_t DictionaryArray::Get(uint64_t index, int socket) const {
 }
 
 void DictionaryArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
-  const uint64_t* dict = dictionary_->GetReplica(socket);
-  smart::WithBits(codes_->bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    smart::TypedIterator<kBits> it(codes_->GetReplica(socket), begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      *out++ = smart::BitCompressedArray<64>::GetImpl(dict, it.Get());
-      it.Next();
-    }
-    return 0;
-  });
+  smart::UnpackRange(*codes_, codes_->GetReplica(socket), begin, end, out);
+  const uint64_t* dict = dictionary_->GetReplica(socket);  // 64-bit: native words
+  for (uint64_t i = 0; i < end - begin; ++i) {
+    out[i] = dict[out[i]];
+  }
 }
 
-uint64_t DictionaryArray::footprint_bytes() const {
-  return dictionary_->footprint_bytes() + codes_->footprint_bytes();
+uint64_t DictionaryArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                                   uint64_t* bitmap) const {
+  // Codes [lower, upper) hold the constant (empty when it is absent); codes
+  // below `lower` hold smaller values, codes from `upper` on larger ones.
+  const uint64_t* dict = dictionary_->GetReplica(socket);
+  const uint64_t size = dictionary_->length();
+  const auto lower = static_cast<uint64_t>(std::lower_bound(dict, dict + size, p.constant) - dict);
+  const bool present = lower < size && dict[lower] == p.constant;
+  const uint64_t upper = lower + (present ? 1 : 0);
+  constexpr smart::Predicate kNone{smart::CmpOp::kLt, 0};
+  constexpr smart::Predicate kAll{smart::CmpOp::kGe, 0};
+  smart::Predicate on_codes;
+  switch (p.op) {
+    case smart::CmpOp::kEq:
+      on_codes = present ? smart::Predicate{smart::CmpOp::kEq, lower} : kNone;
+      break;
+    case smart::CmpOp::kNe:
+      on_codes = present ? smart::Predicate{smart::CmpOp::kNe, lower} : kAll;
+      break;
+    case smart::CmpOp::kLt:
+      on_codes = {smart::CmpOp::kLt, lower};
+      break;
+    case smart::CmpOp::kLe:
+      on_codes = {smart::CmpOp::kLt, upper};
+      break;
+    case smart::CmpOp::kGt:
+      on_codes = {smart::CmpOp::kGe, upper};
+      break;
+    case smart::CmpOp::kGe:
+      on_codes = {smart::CmpOp::kGe, lower};
+      break;
+  }
+  return codes_->SelectIf(codes_->GetReplica(socket), begin, end, on_codes, bitmap);
 }
 
 // ---- RunLengthArray ----
@@ -143,6 +186,7 @@ RunLengthArray::RunLengthArray(std::span<const uint64_t> values,
   }
   run_starts_ = PackValues(starts, BitsForValue(values.size() - 1), placement, topology);
   run_values_ = PackValues(run_values, MaxBits(run_values), placement, topology);
+  payloads_ = {run_starts_.get(), run_values_.get()};
 }
 
 uint64_t RunLengthArray::FindRun(uint64_t index, const uint64_t* starts_replica) const {
@@ -167,27 +211,42 @@ uint64_t RunLengthArray::Get(uint64_t index, int socket) const {
   return run_values_->Get(run, run_values_->GetReplica(socket));
 }
 
-void RunLengthArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
+template <typename Fn>
+void RunLengthArray::ForEachRun(uint64_t begin, uint64_t end, int socket, const Fn& fn) const {
+  if (begin >= end) {
+    return;
+  }
   const uint64_t* starts = run_starts_->GetReplica(socket);
   const uint64_t* rvalues = run_values_->GetReplica(socket);
   const auto& starts_codec = smart::CodecFor(run_starts_->bits());
   const auto& values_codec = smart::CodecFor(run_values_->bits());
-  uint64_t run = FindRun(begin, starts);
   const uint64_t num_runs = run_values_->length();
-  uint64_t next_start = run + 1 < num_runs ? starts_codec.get(starts, run + 1) : length_;
-  uint64_t value = values_codec.get(rvalues, run);
-  for (uint64_t i = begin; i < end; ++i) {
-    while (SA_UNLIKELY(i >= next_start)) {
-      ++run;
-      value = values_codec.get(rvalues, run);
-      next_start = run + 1 < num_runs ? starts_codec.get(starts, run + 1) : length_;
-    }
-    *out++ = value;
+  for (uint64_t run = FindRun(begin, starts), lo = begin; lo < end; ++run) {
+    const uint64_t next_start = run + 1 < num_runs ? starts_codec.get(starts, run + 1) : length_;
+    const uint64_t hi = std::min(end, next_start);
+    fn(lo, hi, values_codec.get(rvalues, run));
+    lo = hi;
   }
 }
 
-uint64_t RunLengthArray::footprint_bytes() const {
-  return run_starts_->footprint_bytes() + run_values_->footprint_bytes();
+void RunLengthArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
+  ForEachRun(begin, end, socket, [&](uint64_t lo, uint64_t hi, uint64_t value) {
+    std::fill(out + (lo - begin), out + (hi - begin), value);
+  });
+}
+
+uint64_t RunLengthArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                                  uint64_t* bitmap) const {
+  // One compare per run, then the run's rows are set as a bit range.
+  ZeroBitmap(begin, end, bitmap);
+  uint64_t count = 0;
+  ForEachRun(begin, end, socket, [&](uint64_t lo, uint64_t hi, uint64_t value) {
+    if (smart::Matches(p, value)) {
+      smart::SetBitRange(bitmap, lo - begin, hi - begin);
+      count += hi - lo;
+    }
+  });
+  return count;
 }
 
 // ---- FrameOfReferenceArray ----
@@ -217,6 +276,7 @@ FrameOfReferenceArray::FrameOfReferenceArray(std::span<const uint64_t> values,
   }
   bases_ = PackValues(bases, 64, placement, topology);
   deltas_ = PackValues(deltas, delta_bits, placement, topology);
+  payloads_ = {bases_.get(), deltas_.get()};
 }
 
 uint64_t FrameOfReferenceArray::Get(uint64_t index, int socket) const {
@@ -228,22 +288,32 @@ uint64_t FrameOfReferenceArray::Get(uint64_t index, int socket) const {
 
 void FrameOfReferenceArray::Decode(uint64_t begin, uint64_t end, int socket,
                                    uint64_t* out) const {
-  const uint64_t* bases = bases_->GetReplica(socket);
-  smart::WithBits(deltas_->bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    smart::TypedIterator<kBits> it(deltas_->GetReplica(socket), begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      const uint64_t base =
-          smart::BitCompressedArray<64>::GetImpl(bases, i / kChunkElems);
-      *out++ = base + it.Get();
-      it.Next();
-    }
-    return 0;
-  });
+  smart::UnpackRange(*deltas_, deltas_->GetReplica(socket), begin, end, out);
+  const uint64_t* bases = bases_->GetReplica(socket);  // 64-bit: native words
+  for (uint64_t i = begin; i < end; ++i) {
+    out[i - begin] += bases[i / kChunkElems];
+  }
 }
 
-uint64_t FrameOfReferenceArray::footprint_bytes() const {
-  return bases_->footprint_bytes() + deltas_->footprint_bytes();
+uint64_t FrameOfReferenceArray::SelectIf(uint64_t begin, uint64_t end, int socket,
+                                         smart::Predicate p, uint64_t* bitmap) const {
+  // Per chunk, the predicate is rebased onto the chunk's deltas and runs on
+  // the packed delta words.
+  ZeroBitmap(begin, end, bitmap);
+  const uint64_t* bases = bases_->GetReplica(socket);
+  const uint64_t* deltas = deltas_->GetReplica(socket);
+  const uint32_t delta_bits = deltas_->bits();
+  const auto& codec = smart::CodecFor(delta_bits);
+  uint64_t count = 0;
+  for (uint64_t lo = begin; lo < end;) {
+    const uint64_t chunk = lo / kChunkElems;
+    const uint64_t hi = std::min(end, (chunk + 1) * kChunkElems);
+    const smart::ScanPredicate on_deltas =
+        smart::NormalizePredicate(RebaseOnto(p, bases[chunk]), delta_bits);
+    count += codec.select_if_range(deltas, lo, hi, on_deltas, bitmap, lo - begin);
+    lo = hi;
+  }
+  return count;
 }
 
 }  // namespace sa::encodings

@@ -34,8 +34,20 @@ class EncodedArray {
   // decode state across the range).
   virtual void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const = 0;
 
+  // Pushdown selection with SmartArray::SelectIf's bitmap convention: bit j
+  // of `bitmap` = whether element begin+j satisfies `p`; the callee zeroes
+  // the (end-begin+63)/64 output words first. Returns the match count.
+  // Each encoding evaluates `p` in its own representation, without
+  // materializing the column.
+  virtual uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                            uint64_t* bitmap) const = 0;
+
+  // The smart arrays holding the encoded payload (tests check their zone
+  // maps against the stored values).
+  const std::vector<const smart::SmartArray*>& payloads() const { return payloads_; }
+
   // Total bytes across all payload arrays and replicas.
-  virtual uint64_t footprint_bytes() const = 0;
+  uint64_t footprint_bytes() const;
 
   // Builds the array with `encoding`, or with the technique ChooseEncoding
   // picks from the data when `encoding` is nullopt (§7's dynamic selection).
@@ -49,6 +61,8 @@ class EncodedArray {
 
   uint64_t length_;
   Encoding encoding_;
+  // Set by each encoding's constructor; the arrays are owned by the subclass.
+  std::vector<const smart::SmartArray*> payloads_;
 };
 
 // ---- Concrete encodings ----
@@ -60,20 +74,23 @@ class BitPackedArray final : public EncodedArray {
                  const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
 
  private:
   std::unique_ptr<smart::SmartArray> data_;
 };
 
-// Dictionary encoding: sorted distinct values + bit-packed codes.
+// Dictionary encoding: sorted distinct values + bit-packed codes. Code order
+// is value order, so a predicate on values is a predicate on codes.
 class DictionaryArray final : public EncodedArray {
  public:
   DictionaryArray(std::span<const uint64_t> values, const smart::PlacementSpec& placement,
                   const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
 
   uint64_t dictionary_size() const { return dictionary_->length(); }
   uint32_t code_bits() const { return codes_->bits(); }
@@ -91,13 +108,17 @@ class RunLengthArray final : public EncodedArray {
                  const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
 
   uint64_t num_runs() const { return run_values_->length(); }
 
  private:
   // Index of the run containing `index`.
   uint64_t FindRun(uint64_t index, const uint64_t* starts_replica) const;
+  // Calls fn(lo, hi, value) for each run's overlap [lo, hi) with [begin, end).
+  template <typename Fn>
+  void ForEachRun(uint64_t begin, uint64_t end, int socket, const Fn& fn) const;
 
   std::unique_ptr<smart::SmartArray> run_starts_;  // first element index of each run
   std::unique_ptr<smart::SmartArray> run_values_;  // packed run values
@@ -112,7 +133,8 @@ class FrameOfReferenceArray final : public EncodedArray {
                         const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
 
   uint32_t delta_bits() const { return deltas_->bits(); }
 

@@ -464,7 +464,11 @@ SlotSample ArraySlot::DrainSample() {
   SlotSample delta;
   delta.sequential_reads = total.sequential_reads - drained_.sequential_reads;
   delta.random_reads = total.random_reads - drained_.random_reads;
-  delta.writes = total.writes - drained_.writes;
+  // Writes at or below the SealWrites() baseline are upload traffic: they
+  // count in neither the hints nor the sampled rate.
+  const uint64_t write_base =
+      std::max(drained_.writes, sealed_writes_.load(std::memory_order_relaxed));
+  delta.writes = total.writes > write_base ? total.writes - write_base : 0;
   delta.pins = total.pins - drained_.pins;
   delta.predicate_elems = total.predicate_elems - drained_.predicate_elems;
   delta.predicate_matches = total.predicate_matches - drained_.predicate_matches;

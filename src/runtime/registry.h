@@ -252,7 +252,7 @@ class ArraySlot {
   // §6.1 software hint: the uploader declares bulk population finished and
   // the slot effectively read-only from here on. Writes made before the
   // seal stop counting against the daemon's read-only / mostly-reads hints
-  // (a freshly uploaded immutable array would otherwise look write-heavy
+  // and drop out of its next drained sample (a freshly uploaded immutable array would otherwise look write-heavy
   // for its first ~20 read passes and never qualify for replication or
   // compression). Writing after sealing stays legal — this is a hint, not
   // an enforcement point — and re-sealing moves the baseline forward.

@@ -7,13 +7,14 @@
 // block everywhere. The rule is a pure function of the width and the host,
 // like the paper's width-branching entry points (§4.3): no start-up timing.
 //
-// Evidence for the sum kernel: the committed BENCH_codec.json has avx2-v2
-// ahead of block at every non-native width (smallest margin 1.38x, width
-// 21), and tools/bench_diff.py --assert-only fails any non-fast artifact
-// where it is not. The artifact has no per-width unpack or predicate
-// series, so the v2 unpack, match-mask and filtered-sum choices rest only
-// on the bench host's start-up timings that this rule replaced, which
-// never picked block at a v2 width.
+// Evidence for the sum and match-mask kernels: the committed
+// BENCH_codec.json has avx2-v2 ahead of block at every v2 width, for sum
+// (`avx2-v2` vs `block`) and for the select_if match mask
+// (`select-if-avx2-v2` vs `select-if-block`), and tools/bench_diff.py
+// --assert-only fails any non-fast artifact where either is not. The
+// artifact has no per-width unpack or filtered-sum series, so those two
+// v2 choices rest only on the bench host's start-up timings that this
+// rule replaced, which never picked block at a v2 width.
 #ifndef SA_SMART_KERNEL_TABLE_H_
 #define SA_SMART_KERNEL_TABLE_H_
 

@@ -1,51 +1,85 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bits.h"
 #include "common/macros.h"
 #include "rts/parallel_for.h"
 #include "rts/worker_local.h"
+#include "smart/parallel_ops.h"
 
 namespace sa::table {
 namespace {
 
-// Scans decode in fixed vectors of this many rows (a few chunks at a time:
-// large enough to amortize, small enough to stay cache-resident).
+// Decoding operators (GroupBySum, MinMaxOf, SumWhere's sum column) work in
+// fixed vectors of this many rows (a few chunks at a time: large enough to
+// amortize, small enough to stay cache-resident).
 constexpr uint64_t kVectorRows = 4 * kChunkElems;
 
-// Per-worker decode buffers, reused across a scan's batches so no batch
-// allocates.
-struct ScanBuffers {
-  std::vector<std::vector<uint64_t>> predicates;  // one per predicate column
-  std::vector<uint64_t> values;
+// Predicate scans run over chunk-aligned grains of this many rows, so each
+// grain's selection bitmap is whole words (256 words: L1-resident).
+constexpr uint64_t kScanGrain = smart::kChunkAlignedGrain;
+
+// One pushdown compare on one column.
+struct ColumnPredicate {
+  const encodings::EncodedArray* column;
+  smart::Predicate predicate;
 };
 
-// Evaluates a conjunctive predicate set over a decoded row vector, calling
-// fn(row_offset) for every qualifying row.
-template <typename Fn>
-void ForEachMatch(const std::vector<Predicate>& predicates,
-                  const std::vector<const encodings::EncodedArray*>& pred_columns, int socket,
-                  uint64_t begin, uint64_t end, std::vector<std::vector<uint64_t>>* buffers,
-                  const Fn& fn) {
-  const uint64_t count = end - begin;
-  buffers->resize(predicates.size());
-  for (size_t p = 0; p < predicates.size(); ++p) {
-    (*buffers)[p].resize(count);
-    pred_columns[p]->Decode(begin, end, socket, (*buffers)[p].data());
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    bool match = true;
-    for (size_t p = 0; p < predicates.size(); ++p) {
-      if (!predicates[p].Matches((*buffers)[p][i])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      fn(i);
+// Lowers the table predicates to pushdown compares: one each, two for
+// kBetween (v >= value AND v <= value2).
+std::vector<ColumnPredicate> Lower(const Table& table, const std::vector<Predicate>& predicates) {
+  // Indexed by Predicate::Op (kEq .. kGe).
+  constexpr smart::CmpOp kCmpOf[] = {smart::CmpOp::kEq, smart::CmpOp::kNe, smart::CmpOp::kLt,
+                                     smart::CmpOp::kLe, smart::CmpOp::kGt, smart::CmpOp::kGe};
+  std::vector<ColumnPredicate> lowered;
+  for (const Predicate& p : predicates) {
+    const encodings::EncodedArray* column = &table.column(p.column);
+    if (p.op == Predicate::Op::kBetween) {
+      lowered.push_back({column, {smart::CmpOp::kGe, p.value}});
+      lowered.push_back({column, {smart::CmpOp::kLe, p.value2}});
+    } else {
+      lowered.push_back({column, {kCmpOf[static_cast<int>(p.op)], p.value}});
     }
   }
+  return lowered;
+}
+
+// Per-worker scan buffers, reused across a scan's grains so no grain
+// allocates.
+struct ScanBuffers {
+  std::vector<uint64_t> selection;  // conjunction of every predicate's bitmap
+  std::vector<uint64_t> bitmap;     // one predicate's bitmap
+  std::vector<uint64_t> values;     // decoded sum-column rows
+};
+
+// Fills buffers->selection with the rows of [begin, end) that satisfy every
+// predicate (bit j = row begin+j); returns their count.
+uint64_t SelectWhere(const std::vector<ColumnPredicate>& predicates, int socket, uint64_t begin,
+                     uint64_t end, ScanBuffers* buffers) {
+  const uint64_t words = (end - begin + kWordBits - 1) / kWordBits;
+  std::vector<uint64_t>& selection = buffers->selection;
+  selection.resize(words);
+  if (predicates.empty()) {
+    std::fill(selection.begin(), selection.end(), ~uint64_t{0});
+    const auto tail = static_cast<uint32_t>(end - begin - (words - 1) * kWordBits);
+    selection.back() = smart::SliceMask(tail);
+    return end - begin;
+  }
+  uint64_t count = predicates[0].column->SelectIf(begin, end, socket, predicates[0].predicate,
+                                                  selection.data());
+  buffers->bitmap.resize(words);
+  for (size_t p = 1; p < predicates.size() && count > 0; ++p) {
+    predicates[p].column->SelectIf(begin, end, socket, predicates[p].predicate,
+                                   buffers->bitmap.data());
+    count = 0;
+    for (uint64_t w = 0; w < words; ++w) {
+      selection[w] &= buffers->bitmap[w];
+      count += static_cast<uint64_t>(std::popcount(selection[w]));
+    }
+  }
+  return count;
 }
 
 // Open-addressing (linear probing) key -> sum map for one worker's groups:
@@ -106,16 +140,6 @@ class GroupSums {
   size_t size_ = 0;
 };
 
-std::vector<const encodings::EncodedArray*> ResolveColumns(
-    const Table& table, const std::vector<Predicate>& predicates) {
-  std::vector<const encodings::EncodedArray*> columns;
-  columns.reserve(predicates.size());
-  for (const Predicate& p : predicates) {
-    columns.push_back(&table.column(p.column));
-  }
-  return columns;
-}
-
 }  // namespace
 
 Table::Builder& Table::Builder::AddColumn(std::string name, std::vector<uint64_t> values,
@@ -164,54 +188,55 @@ const encodings::EncodedArray& Table::column(const std::string& name) const {
   __builtin_unreachable();
 }
 
-bool Predicate::Matches(uint64_t v) const {
-  switch (op) {
-    case Op::kEq:
-      return v == value;
-    case Op::kNe:
-      return v != value;
-    case Op::kLt:
-      return v < value;
-    case Op::kLe:
-      return v <= value;
-    case Op::kGt:
-      return v > value;
-    case Op::kGe:
-      return v >= value;
-    case Op::kBetween:
-      return v >= value && v <= value2;
-  }
-  return false;
-}
-
 uint64_t CountWhere(rts::WorkerPool& pool, const Table& table,
                     const std::vector<Predicate>& predicates) {
-  const auto columns = ResolveColumns(table, predicates);
+  const auto lowered = Lower(table, predicates);
   rts::WorkerLocal<ScanBuffers> buffers(pool.num_workers());
   return rts::ParallelReduce<uint64_t>(
-      pool, 0, table.num_rows(), kVectorRows, [&](int worker, uint64_t b, uint64_t e) {
-        uint64_t local = 0;
-        ForEachMatch(predicates, columns, pool.worker_socket(worker), b, e,
-                     &buffers[worker].predicates, [&](uint64_t) { ++local; });
-        return local;
+      pool, 0, table.num_rows(), kScanGrain, [&](int worker, uint64_t b, uint64_t e) {
+        return SelectWhere(lowered, pool.worker_socket(worker), b, e, &buffers[worker]);
       });
 }
 
 uint64_t SumWhere(rts::WorkerPool& pool, const Table& table, const std::string& sum_column,
                   const std::vector<Predicate>& predicates) {
-  const auto columns = ResolveColumns(table, predicates);
+  const auto lowered = Lower(table, predicates);
   const encodings::EncodedArray& values = table.column(sum_column);
+  constexpr uint64_t kVectorWords = kVectorRows / kWordBits;
   rts::WorkerLocal<ScanBuffers> buffers(pool.num_workers());
   return rts::ParallelReduce<uint64_t>(
-      pool, 0, table.num_rows(), kVectorRows, [&](int worker, uint64_t b, uint64_t e) {
+      pool, 0, table.num_rows(), kScanGrain, [&](int worker, uint64_t b, uint64_t e) {
         const int socket = pool.worker_socket(worker);
         ScanBuffers& buf = buffers[worker];
-        buf.values.resize(e - b);
-        values.Decode(b, e, socket, buf.values.data());
-        uint64_t local = 0;
-        ForEachMatch(predicates, columns, socket, b, e, &buf.predicates,
-                     [&](uint64_t i) { local += buf.values[i]; });
-        return local;
+        if (SelectWhere(lowered, socket, b, e, &buf) == 0) {
+          return uint64_t{0};
+        }
+        const std::vector<uint64_t>& selection = buf.selection;
+        buf.values.resize(kVectorRows);
+        uint64_t sum = 0;
+        // Decode only runs of non-zero mask words (at most a vector at a
+        // time), then add the rows under the mask.
+        for (uint64_t w = 0; w < selection.size();) {
+          if (selection[w] == 0) {
+            ++w;
+            continue;
+          }
+          uint64_t run_end = w + 1;
+          while (run_end < selection.size() && selection[run_end] != 0 &&
+                 run_end - w < kVectorWords) {
+            ++run_end;
+          }
+          const uint64_t row = b + w * kWordBits;
+          values.Decode(row, std::min(e, b + run_end * kWordBits), socket, buf.values.data());
+          for (uint64_t x = w; x < run_end; ++x) {
+            const uint64_t* v = buf.values.data() + (x - w) * kWordBits;
+            for (uint64_t mask = selection[x]; mask != 0; mask &= mask - 1) {
+              sum += v[std::countr_zero(mask)];
+            }
+          }
+          w = run_end;
+        }
+        return sum;
       });
 }
 

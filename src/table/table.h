@@ -5,8 +5,8 @@
 // column-scan literature its bit compression comes from [43, 59]. This
 // substrate is that workload made concrete: a read-only table whose columns
 // are EncodedArrays (each picking its own technique and inheriting the NUMA
-// placement), scanned by chunk-decoding vectorized operators on the
-// Callisto-style runtime.
+// placement), scanned by pushdown and chunk-decoding vectorized operators
+// on the Callisto-style runtime.
 #ifndef SA_TABLE_TABLE_H_
 #define SA_TABLE_TABLE_H_
 
@@ -58,6 +58,12 @@ class Table {
 };
 
 // ---- Scan operators ----
+//
+// CountWhere and SumWhere evaluate each predicate with its column's
+// pushdown SelectIf (packed-word match kernels, zone maps, dictionary code
+// ranges) into a selection bitmap per chunk-aligned grain, and AND the
+// bitmaps: COUNT is a popcount, SUM decodes the sum column only under
+// non-zero mask words.
 
 struct Predicate {
   enum class Op { kEq, kNe, kLt, kLe, kGt, kGe, kBetween };
@@ -66,8 +72,6 @@ struct Predicate {
   Op op = Op::kEq;
   uint64_t value = 0;
   uint64_t value2 = 0;  // upper bound for kBetween (inclusive)
-
-  bool Matches(uint64_t v) const;
 };
 
 // SELECT COUNT(*) WHERE all predicates hold.

@@ -1,8 +1,12 @@
-// Round-trip and footprint properties of every encoding x placement.
+// Round-trip, zone-map, pushdown-selection and footprint properties of
+// every encoding x placement.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/random.h"
 #include "encodings/encoded_array.h"
+#include "smart/parallel_ops.h"
 
 namespace sa::encodings {
 namespace {
@@ -67,6 +71,66 @@ TEST_P(EncodedArrayTest, RoundTripConstantData) {
 TEST_P(EncodedArrayTest, RoundTripNonChunkAlignedLength) {
   auto values = MixedData(777);
   VerifyRoundTrip(values, smart::PlacementSpec::Interleaved());
+}
+
+// Every payload chunk's zone must bracket the values stored in it, on every
+// replica: the pushdown scans skip chunks on the zone's word alone.
+TEST_P(EncodedArrayTest, PayloadZonesBracketStoredValues) {
+  for (const auto& placement :
+       {smart::PlacementSpec::Interleaved(), smart::PlacementSpec::Replicated()}) {
+    const auto array = EncodedArray::Encode(MixedData(1'000), GetParam(), placement, topo_);
+    ASSERT_FALSE(array->payloads().empty());
+    for (const smart::SmartArray* payload : array->payloads()) {
+      std::vector<uint64_t> values(payload->length());
+      for (int socket = 0; socket < topo_.num_sockets(); ++socket) {
+        smart::UnpackRange(*payload, payload->GetReplica(socket), 0, payload->length(),
+                           values.data());
+        for (uint64_t chunk = 0; chunk < payload->num_chunks(); ++chunk) {
+          const auto first = values.begin() + static_cast<int64_t>(chunk * kChunkElems);
+          const auto last = values.begin() + static_cast<int64_t>(std::min(
+                                                 payload->length(), (chunk + 1) * kChunkElems));
+          const auto [lo, hi] = std::minmax_element(first, last);
+          ASSERT_LE(payload->ZoneMin(chunk), *lo) << "chunk " << chunk << " socket " << socket;
+          ASSERT_GE(payload->ZoneMax(chunk), *hi) << "chunk " << chunk << " socket " << socket;
+        }
+      }
+    }
+  }
+}
+
+// SelectIf over ragged ranges agrees with the scalar predicate, for every
+// operator and for constants absent from, inside and outside the data.
+TEST_P(EncodedArrayTest, SelectIfMatchesScalarPredicate) {
+  const auto values = MixedData(3'000);
+  const auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
+  const uint64_t constants[] = {0,       *min_it - 1, *min_it, values[1'500], values[1'500] + 1,
+                                *max_it, *max_it + 1, ~uint64_t{0}};
+  const auto array = EncodedArray::Encode(values, GetParam(), smart::PlacementSpec::Replicated(),
+                                          topo_);
+  const std::pair<uint64_t, uint64_t> ranges[] = {{0, 3'000}, {1, 64}, {63, 65}, {100, 2'999}};
+  std::vector<uint64_t> bitmap(values.size() / kWordBits + 2);
+  for (const auto& [begin, end] : ranges) {
+    for (const uint64_t c : constants) {
+      for (int op = 0; op <= static_cast<int>(smart::CmpOp::kGe); ++op) {
+        const smart::Predicate p{static_cast<smart::CmpOp>(op), c};
+        std::fill(bitmap.begin(), bitmap.end(), ~uint64_t{0});
+        const uint64_t count = array->SelectIf(begin, end, 1, p, bitmap.data());
+        uint64_t want = 0;
+        for (uint64_t i = begin; i < end; ++i) {
+          const bool match = smart::Matches(p, values[i]);
+          want += match ? 1 : 0;
+          const uint64_t j = i - begin;
+          ASSERT_EQ((bitmap[j / kWordBits] >> (j % kWordBits)) & 1, match ? 1u : 0u)
+              << "row " << i << " " << smart::ToString(p.op) << " " << c;
+        }
+        const uint64_t j = end - begin;
+        if (j % kWordBits != 0) {
+          ASSERT_EQ(bitmap[j / kWordBits] >> (j % kWordBits), 0u) << "bits past the range";
+        }
+        ASSERT_EQ(count, want) << smart::ToString(p.op) << " " << c;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEncodings, EncodedArrayTest,

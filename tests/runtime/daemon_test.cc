@@ -161,6 +161,26 @@ TEST_F(AdaptationDaemonTest, RunOnceSkipsThinSamplesAndCountsPasses) {
   EXPECT_EQ(slot->sequence(), 0u);
 }
 
+// A bulk upload sealed before the daemon's first drain is not traffic: with
+// no reads since, the slot is idle and keeps its layout, even under a daemon
+// that accepts any predicted win.
+TEST_F(AdaptationDaemonTest, SealedUploadWritesDoNotReachTheFirstDrain) {
+  const uint64_t n = 8192;  // twice min_sampled_accesses
+  ArraySlot* slot = registry_.Create("upload", n, smart::PlacementSpec::Interleaved(), 32);
+  for (uint64_t i = 0; i < n; ++i) {
+    slot->Write(i, i);
+  }
+  slot->SealWrites();
+  const uint64_t sequence = slot->sequence();
+  DaemonOptions options;
+  options.min_predicted_win = -1.0;
+  AdaptationDaemon daemon = MakeDaemon(options);
+  EXPECT_EQ(daemon.RunOnce(), 0);
+  EXPECT_EQ(slot->sequence(), sequence);
+  EXPECT_EQ(slot->audit(), nullptr) << "the sealed upload produced a decision";
+  EXPECT_EQ(slot->Acquire().array().bits(), 32u);
+}
+
 TEST_F(AdaptationDaemonTest, BackgroundThreadRunsPassesUntilStopped) {
   DaemonOptions options;
   options.interval = std::chrono::milliseconds(1);

@@ -12,13 +12,15 @@ reported but not fatal (kernels legitimately appear/disappear across
 revisions, e.g. avx2-v2 on a non-AVX2 machine).
 
 Assert-only mode (one file, for CI where timing is meaningless): checks
-structure, not speed — every width 1..64 has `block`, `selected`,
-`unpack-range`, and `pack-range` entries with positive throughput. No
-timing gates, so noisy shared runners cannot flake the job. On a
-full-window (non-fast) codec artifact it also fails when any width's
-avx2-v2 sum series is below its block series: the static kernel table
-selects v2 wherever it exists, so this is the artifact-side evidence that
-the rule never picks a slower sum kernel. --min-scan-speedup-at-1pct
+structure, not speed — every width 1..64 has `block`, `select-if-block`,
+`selected`, `unpack-range`, and `pack-range` entries with positive
+throughput. No timing gates, so noisy shared runners cannot flake the job.
+On a full-window (non-fast) codec artifact it also fails when any width's
+avx2-v2 series is below its block series, for the sum kernel (`avx2-v2`
+vs `block`) and for the select_if match-mask kernel (`select-if-avx2-v2`
+vs `select-if-block`): the static kernel table selects v2 wherever it
+exists, so this is the artifact-side evidence that the rule never picks a
+slower kernel. --min-scan-speedup-at-1pct
 gates the pushdown scan summary. Both timing checks are skipped with a
 note on fast artifacts; the v2 check is also skipped on artifacts without
 avx2-v2 rows (hosts without AVX2).
@@ -58,7 +60,12 @@ import json
 import sys
 from collections import defaultdict
 
-REQUIRED_KERNELS = ("block", "selected", "unpack-range", "pack-range")
+REQUIRED_KERNELS = ("block", "select-if-block", "selected", "unpack-range", "pack-range")
+
+# (label, v2 series, block series) pairs gated "v2 not slower than block"
+# per width on non-fast codec artifacts.
+V2_OVER_BLOCK = (("sum", "avx2-v2", "block"),
+                 ("select_if", "select-if-avx2-v2", "select-if-block"))
 
 # Predicate-pushdown scan series (micro_codec emits them into
 # BENCH_codec.json alongside the per-width kernel series): every
@@ -377,29 +384,31 @@ def scan_problems(path, entries, min_scan_speedup):
 
 
 def v2_over_block_problems(path, entries, series):
-    """Per-width gate on non-fast artifacts: avx2-v2 sum is not slower than block."""
+    """Per-width gate on non-fast artifacts: each avx2-v2 kernel is not slower than block."""
     if any(e.get("fast") for e in entries if e.get("kernel") == "scan-summary"):
         print(f"bench_diff: {path}: v2-over-block gate skipped (fast run; "
               "timings are structural-only)")
         return []
     problems = []
-    ratios = []
-    for width in range(1, 65):
-        v2 = series.get((width, "avx2-v2"))
-        block = series.get((width, "block"))
-        if v2 is None or not block:
-            continue
-        ratio = v2 / block
-        ratios.append((ratio, width))
-        if ratio < 1.0:
-            problems.append(f"width {width}: avx2-v2 {gbps(v2)} is slower than block "
-                            f"{gbps(block)} ({ratio:.2f}x)")
-    if not ratios:
-        print(f"bench_diff: {path}: v2-over-block gate skipped (no avx2-v2 series)")
-    elif not problems:
-        ratio, width = min(ratios)
-        print(f"bench_diff: {path}: avx2-v2 >= block at all {len(ratios)} v2 widths "
-              f"(smallest {ratio:.2f}x at width {width})")
+    for label, v2_kernel, block_kernel in V2_OVER_BLOCK:
+        ratios = []
+        for width in range(1, 65):
+            v2 = series.get((width, v2_kernel))
+            block = series.get((width, block_kernel))
+            if v2 is None or not block:
+                continue
+            ratio = v2 / block
+            ratios.append((ratio, width))
+            if ratio < 1.0:
+                problems.append(f"width {width}: {label} {v2_kernel} {gbps(v2)} is slower than "
+                                f"{block_kernel} {gbps(block)} ({ratio:.2f}x)")
+        if not ratios:
+            print(f"bench_diff: {path}: {label} v2-over-block gate skipped "
+                  f"(no {v2_kernel} series)")
+        elif all(r >= 1.0 for r, _ in ratios):
+            ratio, width = min(ratios)
+            print(f"bench_diff: {path}: {label} {v2_kernel} >= {block_kernel} at all "
+                  f"{len(ratios)} v2 widths (smallest {ratio:.2f}x at width {width})")
     return problems
 
 
